@@ -1750,7 +1750,7 @@ fn e19_warm_start() {
         let mut live = LiveValidator::new(&v, tree);
         let orders: Vec<NodeId> = live.tree().ext("order").collect();
         let snap = dir.join(format!("snapshot-{n}.bin"));
-        write_snapshot(&snap, &live.export_state(), 0).expect("write snapshot");
+        write_snapshot(&snap, live.state_view(), 0).expect("write snapshot");
         let wal_path = dir.join(format!("wal-{n}.log"));
         let (mut wal, _) = Wal::open(&wal_path, FsyncPolicy::Never).unwrap();
         let mut r = rng(909);
@@ -1904,7 +1904,7 @@ fn e19_warm_start() {
         let last_seq = batches.last().map(|&(s, _)| s).unwrap();
         write_snapshot(
             &crash_store.snapshot_path("d").unwrap(),
-            &live.export_state(),
+            live.state_view(),
             last_seq,
         )
         .unwrap();

@@ -786,10 +786,11 @@ fn cmd_snapshot(o: &Opts, out: &mut String) -> Result<i32, String> {
     let validator =
         Validator::with_matcher(&dtdc, MatcherKind::Dfa, live_options(o)).with_obs(obs.clone());
     let live = LiveValidator::new(&validator, doc.tree);
-    let state = live.export_state();
     {
         let _span = obs.span("snapshot.write");
-        store.save(id, &state).map_err(|e| e.to_string())?;
+        store
+            .save(id, live.state_view())
+            .map_err(|e| e.to_string())?;
     }
     durable::write_meta(&store, id, dtdc.structure())?;
     let snap = store.snapshot_path(id).map_err(|e| e.to_string())?;
@@ -997,10 +998,15 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
+    /// Writes `content` to a file named after `name` that no other call —
+    /// in this process or another — shares, so parallel tests never
+    /// overwrite each other's inputs.
     fn tmp(name: &str, content: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("xic-cli-tests");
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static N: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!("xic-cli-tests-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join(name);
+        let p = dir.join(format!("{}-{name}", N.fetch_add(1, Ordering::Relaxed)));
         std::fs::write(&p, content).unwrap();
         p
     }

@@ -54,7 +54,9 @@
 //! batches, appended *before* they propagate, fsynced per `--fsync`), and
 //! `dtd.txt` (the DTD in force, so internal-`<!DOCTYPE>` documents survive
 //! restarts). Snapshots are written on ingest, on eviction/shutdown (the
-//! shard's exit), on `POST /docs/{id}/snapshot`, and every
+//! shard's exit; a shard retired by a replacing `PUT` skips it, as the
+//! replacement's ingest snapshot supersedes it), on
+//! `POST /docs/{id}/snapshot`, and every
 //! `--snapshot-every N` acknowledged batches; each snapshot is stamped
 //! with the WAL sequence it subsumes and published *before* the log is
 //! emptied, so a crash between the two steps only leaves records that
@@ -169,6 +171,9 @@ enum DocRequest {
     Snapshot(u64, SyncSender<Result<String, String>>),
     /// Report the shard's durable-state counters for `GET /status`.
     Status(u64, SyncSender<DocShardStatus>),
+    /// The document is being replaced: serve what is still queued, then
+    /// exit *without* the exit snapshot (see [`retire`]).
+    Retire,
 }
 
 /// One shard's introspection snapshot, from the state the shard itself
@@ -314,7 +319,7 @@ fn serve_loop(listener: TcpListener, o: &Opts) -> Result<(), String> {
             let _ = stdout.flush();
         } else {
             let src = read(&path)?;
-            if let (_, Err(e)) = put_doc(&store, DEFAULT_DOC, src) {
+            if let (_, Err(e)) = put_doc(&store, DEFAULT_DOC, &src) {
                 return Err(e
                     .trim_end()
                     .strip_prefix("error: ")
@@ -623,7 +628,7 @@ fn route(store: &Store, req: &Request) -> Response {
                 if !rest.contains('/') {
                     match method {
                         "PUT" => {
-                            let (status, body) = put_doc(store, rest, req.body.clone());
+                            let (status, body) = put_doc(store, rest, &req.body);
                             let (status, body) = match body {
                                 Ok(report) => (status, report),
                                 Err(e) => ("400 Bad Request", e),
@@ -846,7 +851,7 @@ fn merged_metrics(store: &Store) -> Metrics {
 /// is registered and the body is its initial validation report; `Err`
 /// carries a rendered `400` body. The bool-ish status distinguishes
 /// create (`201`) from replace (`200`).
-fn put_doc(store: &Store, id: &str, src: String) -> (&'static str, Result<String, String>) {
+fn put_doc(store: &Store, id: &str, src: &str) -> (&'static str, Result<String, String>) {
     if !valid_id(id) {
         return (
             "400 Bad Request",
@@ -855,31 +860,38 @@ fn put_doc(store: &Store, id: &str, src: String) -> (&'static str, Result<String
             )),
         );
     }
-    // Durable replace: stop the old shard (it writes its exit snapshot)
-    // *before* the new shard resets the doc's on-disk state — otherwise
-    // the old shard's final snapshot could clobber the new document.
+    // Parse and load before touching the old shard: a body that fails
+    // leaves the current document served, in memory and on disk.
+    let (collector, obs) = shard_obs(store);
+    let loaded = {
+        let _parse = obs.span("parse");
+        parse_document(src).map_err(|e| e.to_string())
+    }
+    .and_then(|doc| Ok((load_dtdc(&store.opts, doc.dtd.as_ref(), true)?, doc.tree)));
+    let (dtdc, tree) = match loaded {
+        Ok(loaded) => loaded,
+        Err(e) => return ("400 Bad Request", Err(format!("error: {e}\n"))),
+    };
+    // Durable replace: retire the old shard *before* the new shard resets
+    // the doc's on-disk state, so the old shard's WAL is closed and holds
+    // every batch it acknowledged when the new shard stamps its snapshot.
     let mut replaced = false;
     if store.disk.is_some() {
         if let Some(prev) = store.docs.write().unwrap().remove(id) {
-            drop(prev.tx);
-            let _ = prev.join.join();
+            retire(prev);
             replaced = true;
         }
     }
-    let handle = match start_shard(store, id, ShardInit::Cold(src)) {
+    let init = ShardInit::Cold(dtdc, tree);
+    let handle = match start_shard(store, id, init, collector, obs) {
         Ok(handle) => handle,
         Err((status, e)) => return (status, Err(format!("error: {e}\n"))),
     };
-    let prev = store.docs.write().unwrap().insert(id.to_string(), handle);
-    let status = if let Some(prev) = prev {
-        drop(prev.tx);
-        let _ = prev.join.join();
-        "200 OK"
-    } else if replaced {
-        "200 OK"
-    } else {
-        "201 Created"
-    };
+    if let Some(prev) = store.docs.write().unwrap().insert(id.to_string(), handle) {
+        retire(prev);
+        replaced = true;
+    }
+    let status = if replaced { "200 OK" } else { "201 Created" };
     match shard_report(store, id) {
         Some(report) => (status, Ok(report)),
         None => (
@@ -889,12 +901,42 @@ fn put_doc(store: &Store, id: &str, src: String) -> (&'static str, Result<String
     }
 }
 
+/// Stops a shard whose document is being replaced, joining it. It skips
+/// the exit snapshot: the replacement's ingest snapshot overwrites the
+/// file milliseconds later, and until that snapshot is published the old
+/// snapshot plus the old WAL — which holds every acknowledged batch —
+/// still recover the old document exactly. The new shard stamps its
+/// snapshot with the WAL's last sequence before resetting the log, so no
+/// crash point replays a retired batch onto the new document.
+fn retire(prev: DocHandle) {
+    let _ = prev.tx.send(DocRequest::Retire);
+    drop(prev.tx);
+    let _ = prev.join.join();
+}
+
 /// How a shard obtains its initial validator state.
 enum ShardInit {
-    /// Parse and validate this XML source from scratch (a `PUT`).
-    Cold(String),
+    /// Validate this parsed document from scratch under its loaded
+    /// `DTD^C` (a `PUT`).
+    Cold(DtdC, DataTree),
     /// Warm-start from the `--state-dir` snapshot + WAL (boot recovery).
     Warm,
+}
+
+/// A new shard's telemetry: its aggregates stay per-doc (merged into
+/// /metrics under its label), while its raw spans additionally feed the
+/// daemon-wide trace ring, tagged by whatever request scope is active
+/// when they close.
+fn shard_obs(store: &Store) -> (Arc<MetricsCollector>, Obs) {
+    let collector = MetricsCollector::shared_with_histograms();
+    let obs = match store.trace.clone() {
+        Some(tc) => Obs::new(Arc::new(Fanout::new(vec![
+            collector.clone() as Arc<dyn Collector>,
+            tc as Arc<dyn Collector>,
+        ]))),
+        None => Obs::new(collector.clone()),
+    };
+    (collector, obs)
 }
 
 /// Spawns a document shard and waits for it to load. `Err` carries the
@@ -903,19 +945,16 @@ fn start_shard(
     store: &Store,
     id: &str,
     init: ShardInit,
+    collector: Arc<MetricsCollector>,
+    obs: Obs,
 ) -> Result<DocHandle, (&'static str, String)> {
-    let collector = MetricsCollector::shared_with_histograms();
     let (tx, rx) = mpsc::channel();
     let (ready_tx, ready_rx) = mpsc::sync_channel(1);
     let join = {
         let opts = store.opts.clone();
-        let collector = collector.clone();
-        let trace = store.trace.clone();
         let id = id.to_string();
         let disk = store.disk.clone().map(|d| (d, store.snapshot_every));
-        std::thread::spawn(move || {
-            run_doc_shard(init, id, &opts, disk, collector, trace, rx, ready_tx)
-        })
+        std::thread::spawn(move || run_doc_shard(init, id, &opts, disk, obs, rx, ready_tx))
     };
     match ready_rx.recv() {
         Ok(Ok(())) => Ok(DocHandle {
@@ -937,7 +976,8 @@ fn start_shard(
 /// Boot recovery of one persisted document: warm-start its shard from
 /// the snapshot + WAL and register it in the store.
 fn recover_doc(store: &Store, id: &str) -> Result<(), String> {
-    let handle = start_shard(store, id, ShardInit::Warm).map_err(|(_, e)| e)?;
+    let (collector, obs) = shard_obs(store);
+    let handle = start_shard(store, id, ShardInit::Warm, collector, obs).map_err(|(_, e)| e)?;
     store.docs.write().unwrap().insert(id.to_string(), handle);
     Ok(())
 }
@@ -1072,27 +1112,15 @@ fn doc_snapshot(store: &Store, id: &str) -> Response {
 /// [`LiveValidator`] chain on its stack (the borrow chain that cannot
 /// live in a shared map) and serializes every request for its document
 /// in channel order. Exits when the store drops the last sender.
-#[allow(clippy::too_many_arguments)]
 fn run_doc_shard(
     init: ShardInit,
     id: String,
     opts: &Opts,
     disk: Option<(DocStore, u64)>,
-    collector: Arc<MetricsCollector>,
-    trace: Option<Arc<TraceCollector>>,
+    obs: Obs,
     rx: Receiver<DocRequest>,
     ready: SyncSender<Result<(), String>>,
 ) {
-    // The shard's aggregates stay per-doc (merged into /metrics under its
-    // label), while its raw spans additionally feed the daemon-wide trace
-    // ring, tagged by whatever request scope is active when they close.
-    let obs = match trace {
-        Some(tc) => Obs::new(Arc::new(Fanout::new(vec![
-            collector as Arc<dyn Collector>,
-            tc as Arc<dyn Collector>,
-        ]))),
-        None => Obs::new(collector),
-    };
     // Either path ends with the `DtdC` on this stack plus a starting
     // state for the validator borrowing it.
     enum Start {
@@ -1100,25 +1128,7 @@ fn run_doc_shard(
         Warm(Box<Recovered>),
     }
     let (dtdc, start) = match init {
-        ShardInit::Cold(src) => {
-            let doc = {
-                let _parse = obs.span("parse");
-                match parse_document(&src) {
-                    Ok(doc) => doc,
-                    Err(e) => {
-                        let _ = ready.send(Err(e.to_string()));
-                        return;
-                    }
-                }
-            };
-            match load_dtdc(opts, doc.dtd.as_ref(), true) {
-                Ok(d) => (d, Start::Cold(doc.tree)),
-                Err(e) => {
-                    let _ = ready.send(Err(e));
-                    return;
-                }
-            }
-        }
+        ShardInit::Cold(dtdc, tree) => (dtdc, Start::Cold(tree)),
         ShardInit::Warm => {
             // A warm shard is only ever spawned by boot recovery, which
             // requires --state-dir.
@@ -1149,31 +1159,24 @@ fn run_doc_shard(
             let live = LiveValidator::new(&validator, tree);
             // Durable mode persists the ingested document before the PUT
             // is acknowledged: open the WAL (learning the highest sequence
-            // any leftover records carry), publish the snapshot atomically
-            // stamped with that sequence — so a crash before the reset
-            // below leaves only records the snapshot subsumes, which
-            // recovery skips — then empty the log, then the DTD sidecar.
+            // any leftover records carry — a retired shard's batches
+            // included), publish the snapshot atomically stamped with that
+            // sequence — so a crash before the log reset leaves only
+            // records the snapshot subsumes, which recovery skips — then
+            // empty the log, then write the DTD sidecar.
             let sdisk = match disk {
                 Some((store, snapshot_every)) => {
                     let persisted = (|| {
-                        let mut wal = store.open_wal(&id).map_err(|e| e.to_string())?;
-                        let state = live.export_state();
-                        let snap = store.snapshot_path(&id).map_err(|e| e.to_string())?;
-                        {
-                            let _span = obs.span("snapshot.write");
-                            write_snapshot(&snap, &state, wal.last_seq())
-                                .map_err(|e| e.to_string())?;
-                        }
-                        wal.reset().map_err(|e| e.to_string())?;
-                        obs.add("snapshot.writes", 1);
-                        durable::write_meta(&store, &id, dtdc.structure())?;
-                        Ok::<ShardDisk, String>(ShardDisk {
+                        let mut d = ShardDisk {
+                            wal: store.open_wal(&id).map_err(|e| e.to_string())?,
                             store,
                             id: id.clone(),
-                            wal,
                             snapshot_every,
                             since_snapshot: 0,
-                        })
+                        };
+                        snapshot_now(&live, &mut d, &obs)?;
+                        durable::write_meta(&d.store, &id, dtdc.structure())?;
+                        Ok::<ShardDisk, String>(d)
                     })();
                     match persisted {
                         Ok(d) => Some(d),
@@ -1226,6 +1229,7 @@ fn run_doc_shard(
         }
     };
     let _ = ready.send(Ok(()));
+    let mut retired = false;
     while let Ok(req) = rx.recv() {
         obs.add("doc.requests", 1);
         // Re-enter the originating request's scope for the whole handling
@@ -1271,13 +1275,15 @@ fn run_doc_shard(
                     },
                 });
             }
+            DocRequest::Retire => retired = true,
         }
     }
     // The store dropped the last sender: the doc is being evicted or the
     // daemon is draining. Persist the final state so the next boot
     // warm-starts from a fresh snapshot and an empty WAL (best-effort —
-    // the WAL already holds every acknowledged batch if this fails).
-    if let Some(d) = sdisk.as_mut() {
+    // the WAL already holds every acknowledged batch if this fails). A
+    // replaced doc skips this: its successor's snapshot supersedes it.
+    if let Some(d) = sdisk.as_mut().filter(|_| !retired) {
         let _ = snapshot_now(&live, d, &obs);
     }
 }
@@ -1304,14 +1310,13 @@ fn snapshot_now(
     disk: &mut ShardDisk,
     obs: &Obs,
 ) -> Result<String, String> {
-    let state = live.export_state();
     let snap = disk
         .store
         .snapshot_path(&disk.id)
         .map_err(|e| e.to_string())?;
     {
         let _span = obs.span("snapshot.write");
-        write_snapshot(&snap, &state, disk.wal.last_seq()).map_err(|e| e.to_string())?;
+        write_snapshot(&snap, live.state_view(), disk.wal.last_seq()).map_err(|e| e.to_string())?;
     }
     disk.wal.reset().map_err(|e| e.to_string())?;
     obs.add("snapshot.writes", 1);
@@ -1403,10 +1408,15 @@ mod tests {
     use crate::http::HttpClient;
     use std::path::PathBuf;
 
+    /// Writes `content` to a file named after `name` that no other call —
+    /// in this process or another — shares, so parallel tests never
+    /// overwrite each other's inputs.
     fn tmp(name: &str, content: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("xic-serve-tests");
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static N: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!("xic-serve-tests-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join(name);
+        let p = dir.join(format!("{}-{name}", N.fetch_add(1, Ordering::Relaxed)));
         std::fs::write(&p, content).unwrap();
         p
     }
@@ -1992,6 +2002,83 @@ ref.to <=s entry.isbn";
             assert!(report.contains("dangling"), "{report}");
         });
         let _ = std::fs::remove_dir_all(&state);
+    }
+
+    #[test]
+    fn failed_durable_replace_keeps_the_document() {
+        let state = fresh_state_dir("bad-replace");
+        let state_s = state.to_str().unwrap().to_string();
+        let mut expected = String::new();
+        with_daemon(GOOD_DOC, &["--state-dir", &state_s], |addr| {
+            let (status, body) = http(addr, "POST", "/edits", "set-attr 5 to dangling\n");
+            assert_eq!(status, 200, "{body}");
+            let (_, before) = http(addr, "GET", "/report", "");
+            assert!(before.contains("dangling"), "{before}");
+            for bad in ["<book><unclosed>", "<!DOCTYPE book [ <!ELEMENT ]>\n<book/>"] {
+                let (status, body) = http(addr, "PUT", "/docs/default", bad);
+                assert_eq!(status, 400, "{body}");
+                let (_, ids) = http(addr, "GET", "/docs", "");
+                assert_eq!(ids, "default\n", "a failed replace evicted the doc");
+                let (status, after) = http(addr, "GET", "/report", "");
+                assert_eq!((status, &after), (200, &before));
+            }
+            expected = before;
+        });
+        // Nothing on disk changed either: the next boot recovers the
+        // edited document.
+        with_daemon(GOOD_DOC, &["--state-dir", &state_s], |addr| {
+            assert_eq!(http(addr, "GET", "/report", ""), (200, expected));
+        });
+        let _ = std::fs::remove_dir_all(&state);
+    }
+
+    /// Copies a state directory (one level of per-doc subdirectories).
+    fn copy_state_dir(from: &std::path::Path, to: &std::path::Path) {
+        for doc in std::fs::read_dir(from).unwrap() {
+            let doc = doc.unwrap().path();
+            let target = to.join(doc.file_name().unwrap());
+            std::fs::create_dir_all(&target).unwrap();
+            for file in std::fs::read_dir(&doc).unwrap() {
+                let file = file.unwrap().path();
+                std::fs::copy(&file, target.join(file.file_name().unwrap())).unwrap();
+            }
+        }
+    }
+
+    /// A replaced shard exits without a snapshot of its own: the state dir
+    /// copied right after the replace is acknowledged — the image a crash
+    /// at that moment leaves — boots to the new document, not the old one
+    /// or its logged edits.
+    #[test]
+    fn crash_image_after_replace_recovers_the_new_document() {
+        let state = fresh_state_dir("replace-image");
+        let image = fresh_state_dir("replace-image-copy");
+        let state_s = state.to_str().unwrap().to_string();
+        let replacement = GOOD_DOC.replace(r#"to="x1""#, r#"to="x1 ghost""#);
+        let mut expected = String::new();
+        with_daemon(GOOD_DOC, &["--state-dir", &state_s], |addr| {
+            for value in ["dangling", "x1", "dangling"] {
+                let script = format!("set-attr 5 to {value}\n");
+                assert_eq!(http(addr, "POST", "/edits", &script).0, 200);
+            }
+            let (status, body) = http(addr, "PUT", "/docs/default", &replacement);
+            assert_eq!(status, 200, "{body}");
+            assert!(
+                body.contains("ghost") && !body.contains("dangling"),
+                "{body}"
+            );
+            copy_state_dir(&state, &image);
+            expected = body;
+        });
+        let image_s = image.to_str().unwrap().to_string();
+        with_daemon(GOOD_DOC, &["--state-dir", &image_s], |addr| {
+            assert_eq!(http(addr, "GET", "/report", ""), (200, expected));
+            // The replacement's ingest snapshot subsumed the old log.
+            let status = fetch_status(addr);
+            assert_eq!(num(resident(&status, "default"), "since_snapshot"), 0);
+        });
+        let _ = std::fs::remove_dir_all(&state);
+        let _ = std::fs::remove_dir_all(&image);
     }
 
     #[test]

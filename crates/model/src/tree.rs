@@ -805,26 +805,6 @@ pub struct RawNode {
 }
 
 impl DataTree {
-    /// Disassembles the tree into per-slot vertex descriptions, the root
-    /// id, and tombstone flags — the encode path for persisted trees, and
-    /// the exact inverse of [`DataTree::from_raw_parts`]: feeding the
-    /// parts back reproduces a tree equal slot-for-slot (tombstones
-    /// included, so node ids stay stable across a round trip).
-    pub fn raw_parts(&self) -> (Vec<RawNode>, NodeId, Vec<bool>) {
-        let nodes = (0..self.id_bound())
-            .map(|i| {
-                let node = &self.nodes[i];
-                RawNode {
-                    label: node.label.clone(),
-                    children: node.children.clone(),
-                    attrs: node.attrs().map(|(n, v)| (n.clone(), v.clone())).collect(),
-                    parent: node.parent(),
-                }
-            })
-            .collect();
-        (nodes, self.root, self.dead.clone())
-    }
-
     /// Reassembles a tree from per-slot vertex descriptions, the root id,
     /// and tombstone flags (`dead` may be empty when no vertex is
     /// tombstoned; otherwise it must cover every slot).
@@ -1468,9 +1448,29 @@ mod tests {
         );
     }
 
-    /// Captures a tree's complete raw state.
-    fn raw_parts_of(t: &DataTree) -> (Vec<RawNode>, NodeId, Vec<bool>) {
-        t.raw_parts()
+    /// Captures a tree's complete raw state — every arena slot, read
+    /// through [`DataTree::node`], plus the root and tombstone flags — the
+    /// way a serializer sees it.
+    fn parts_of(t: &DataTree) -> (Vec<RawNode>, NodeId, Vec<bool>) {
+        let ids = (0..t.id_bound()).map(NodeId::from_index);
+        let nodes = ids
+            .clone()
+            .map(|id| {
+                let node = t.node(id);
+                RawNode {
+                    label: node.label.clone(),
+                    children: node.children.clone(),
+                    attrs: node.attrs().map(|(n, v)| (n.clone(), v.clone())).collect(),
+                    parent: node.parent(),
+                }
+            })
+            .collect();
+        let dead = if t.len() == t.id_bound() {
+            Vec::new()
+        } else {
+            ids.map(|id| !t.is_alive(id)).collect()
+        };
+        (nodes, t.root(), dead)
     }
 
     #[test]
@@ -1480,7 +1480,7 @@ mod tests {
         t.delete_subtree(s1).unwrap();
         let entry = t.ext("entry").next().unwrap();
         t.set_attr(entry, "lang", AttrValue::single("en")).unwrap();
-        let (nodes, root, dead) = raw_parts_of(&t);
+        let (nodes, root, dead) = parts_of(&t);
         let rebuilt = DataTree::from_raw_parts(nodes, root, dead).unwrap();
         assert_eq!(rebuilt.len(), t.len());
         assert_eq!(rebuilt.id_bound(), t.id_bound());
@@ -1495,7 +1495,7 @@ mod tests {
         assert!(!rebuilt.is_alive(s1));
         // A pristine tree round-trips with an empty tombstone vector.
         let t = book_tree();
-        let (nodes, root, _) = raw_parts_of(&t);
+        let (nodes, root, _) = parts_of(&t);
         let rebuilt = DataTree::from_raw_parts(nodes, root, Vec::new()).unwrap();
         assert_eq!(rebuilt.len(), t.len());
     }
@@ -1503,7 +1503,7 @@ mod tests {
     #[test]
     fn from_raw_parts_rejects_inconsistent_input() {
         let t = book_tree();
-        let (nodes, root, dead) = raw_parts_of(&t);
+        let (nodes, root, dead) = parts_of(&t);
 
         // Root out of bounds.
         let bad = NodeId::from_index(nodes.len());

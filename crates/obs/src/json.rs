@@ -342,13 +342,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
+                    // Copy the whole unescaped run up to the next quote or
+                    // backslash. Both are ASCII, so the run ends on a char
+                    // boundary of the (valid UTF-8) input.
                     let rest = &self.bytes[self.pos..];
-                    let s_rest = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s_rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    s.push_str(std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?);
+                    self.pos += run;
                 }
             }
         }
@@ -413,6 +416,23 @@ mod tests {
             "[1, 2]"
         );
         assert_eq!(parse("[ ]").unwrap(), Json::Array(vec![]));
+    }
+
+    #[test]
+    fn long_strings_with_multibyte_runs_and_escapes_round_trip() {
+        let unit = "plain ascii, \"quoted\", ünïcödé 漢字 🦀\\back\tslash\n\u{1}";
+        let long = unit.repeat(2_000);
+        let doc = Json::Array(vec![
+            Json::String(long.clone()),
+            Json::String(String::new()),
+        ]);
+        assert_eq!(parse(&doc.render()).unwrap(), doc);
+        assert_eq!(
+            parse("\"a\\u00e9b\\\"c\"").unwrap(),
+            Json::String("a\u{e9}b\"c".into())
+        );
+        let unterminated = format!("\"{}", "ü漢".repeat(1_000));
+        assert_eq!(parse(&unterminated), Err("unterminated string".into()));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use xic_constraints::Field;
 use xic_model::{AttrValue, Child, DataTree, Name, NodeId, RawNode, Sym};
-use xic_validate::{BatchEdit, LiveState, Violation};
+use xic_validate::{BatchEdit, LiveStateView, Violation};
 
 use crate::StorageError;
 
@@ -189,23 +189,28 @@ fn dec_attr_value(d: &mut Dec<'_>) -> Result<AttrValue, StorageError> {
 // ---------------------------------------------------------------------------
 // Trees.
 
+/// Encodes every arena slot of `t` — tombstones included, so node ids
+/// survive the round trip — reading each vertex in place through
+/// [`DataTree::node`].
 pub(crate) fn enc_tree(e: &mut Enc, t: &DataTree) {
-    let (nodes, root, dead) = t.raw_parts();
-    e.len(nodes.len());
-    e.u32(root.index() as u32);
-    e.u8(if dead.is_empty() { 0 } else { 1 });
-    if !dead.is_empty() {
-        let mut bits = vec![0u8; nodes.len().div_ceil(8)];
-        for (i, &flag) in dead.iter().enumerate() {
-            if flag {
-                bits[i / 8] |= 1 << (i % 8);
-            }
+    let n = t.id_bound();
+    e.len(n);
+    e.u32(t.root().index() as u32);
+    // Tombstone flags as a bitmap, present only once a vertex was deleted.
+    if t.len() == n {
+        e.u8(0);
+    } else {
+        e.u8(1);
+        let bits = e.buf.len();
+        e.buf.resize(bits + n.div_ceil(8), 0);
+        for i in (0..n).filter(|&i| !t.is_alive(NodeId::from_index(i))) {
+            e.buf[bits + i / 8] |= 1 << (i % 8);
         }
-        e.buf.extend_from_slice(&bits);
     }
-    for node in &nodes {
+    for i in 0..n {
+        let node = t.node(NodeId::from_index(i));
         e.str(&node.label);
-        enc_opt_u32(e, node.parent.map(|p| p.index() as u32));
+        enc_opt_u32(e, node.parent().map(|p| p.index() as u32));
         e.len(node.children.len());
         for c in &node.children {
             match c {
@@ -219,8 +224,8 @@ pub(crate) fn enc_tree(e: &mut Enc, t: &DataTree) {
                 }
             }
         }
-        e.len(node.attrs.len());
-        for (name, val) in &node.attrs {
+        e.len(node.attrs().count());
+        for (name, val) in node.attrs() {
             e.str(name);
             enc_attr_value(e, val);
         }
@@ -502,9 +507,9 @@ pub(crate) fn dec_interner(d: &mut Dec<'_>) -> Result<InternerParts, StorageErro
     Ok((arena, spans))
 }
 
-pub(crate) fn enc_columns(e: &mut Enc, state: &LiveState) {
+pub(crate) fn enc_columns(e: &mut Enc, state: &LiveStateView<'_>) {
     e.len(state.singles.len());
-    for ((tau, field), vals) in &state.singles {
+    for &((tau, field), vals) in &state.singles {
         e.str(tau);
         enc_field(e, field);
         e.len(vals.len());
@@ -513,7 +518,7 @@ pub(crate) fn enc_columns(e: &mut Enc, state: &LiveState) {
         }
     }
     e.len(state.sets.len());
-    for ((tau, attr), rows) in &state.sets {
+    for &((tau, attr), rows) in &state.sets {
         e.str(tau);
         e.str(attr);
         e.len(rows.len());
@@ -562,10 +567,10 @@ pub(crate) fn dec_columns(d: &mut Dec<'_>) -> Result<(Singles, Sets), StorageErr
     Ok((singles, sets))
 }
 
-pub(crate) fn enc_struct_viols(e: &mut Enc, entries: &[(u32, Vec<Violation>)]) {
+pub(crate) fn enc_struct_viols(e: &mut Enc, entries: &[(u32, &[Violation])]) {
     e.len(entries.len());
-    for (x, viols) in entries {
-        e.u32(*x);
+    for &(x, viols) in entries {
+        e.u32(x);
         e.len(viols.len());
         for v in viols {
             enc_violation(e, v);

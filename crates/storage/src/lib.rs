@@ -44,7 +44,7 @@ mod wal;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use xic_validate::{BatchEdit, LiveState};
+use xic_validate::{BatchEdit, LiveState, LiveStateView};
 
 pub use crc::crc32;
 pub use snapshot::{
@@ -236,7 +236,8 @@ impl DocStore {
         Ok(ids)
     }
 
-    /// Snapshots `state` for `id` and empties its WAL (the snapshot
+    /// Snapshots `state` (a borrowed view: `LiveValidator::state_view()`
+    /// or a `&LiveState`) for `id` and empties its WAL (the snapshot
     /// subsumes every logged batch). Creates the subdirectory on first
     /// save.
     ///
@@ -245,7 +246,11 @@ impl DocStore {
     /// emptied, so a crash between the two steps leaves stale records that
     /// [`DocStore::load`] skips by sequence — never replays onto state
     /// that already contains them.
-    pub fn save(&self, id: &str, state: &LiveState) -> Result<(), StorageError> {
+    pub fn save<'a>(
+        &self,
+        id: &str,
+        state: impl Into<LiveStateView<'a>>,
+    ) -> Result<(), StorageError> {
         let dir = self.doc_dir(id)?;
         fs::create_dir_all(&dir).map_err(io_err(format!("create {}", dir.display())))?;
         let wal_path = dir.join(WAL_FILE);

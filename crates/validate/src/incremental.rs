@@ -2054,7 +2054,8 @@ pub type SetColumnState = ((Name, Name), Vec<Vec<Sym>>);
 /// byte-identical to scratch validation of the same tree.
 ///
 /// Fields are public so an external codec (the `xic-storage` crate) can
-/// encode the state without this crate taking on any I/O concerns.
+/// decode into the state without this crate taking on any I/O concerns;
+/// encoding reads the borrowed [`LiveStateView`] instead.
 #[derive(Clone, Debug)]
 pub struct LiveState {
     /// The document.
@@ -2071,6 +2072,50 @@ pub struct LiveState {
     pub sets: Vec<SetColumnState>,
     /// Vertex ↦ its structural violations, ascending by vertex.
     pub struct_viols: Vec<(u32, Vec<Violation>)>,
+}
+
+/// One single-valued column of a [`LiveStateView`], borrowed.
+pub type SingleColumnView<'a> = (&'a (Name, Field), &'a [Option<Sym>]);
+
+/// One set-valued column of a [`LiveStateView`], borrowed.
+pub type SetColumnView<'a> = (&'a (Name, Name), &'a [Vec<Sym>]);
+
+/// A borrowed view of the same state as [`LiveState`]: what a snapshot
+/// encoder reads, in place. [`LiveValidator::state_view`] lends it
+/// straight from a running validator, so persisting one costs no deep
+/// copy; `From<&LiveState>` lends it from an exported or decoded state.
+/// Columns come out in the same ascending key order as in [`LiveState`].
+#[derive(Debug)]
+pub struct LiveStateView<'a> {
+    /// The document.
+    pub tree: &'a DataTree,
+    /// The intern pool's byte arena (see [`Interner::arena`]).
+    pub interner_arena: &'a [u8],
+    /// The intern pool's `(start, len)` spans (see [`Interner::spans`]).
+    pub interner_spans: &'a [(u32, u32)],
+    /// Every planned single-valued column, ascending by key.
+    pub singles: Vec<SingleColumnView<'a>>,
+    /// Every planned set-valued column, ascending by key.
+    pub sets: Vec<SetColumnView<'a>>,
+    /// Vertex ↦ its structural violations, ascending by vertex.
+    pub struct_viols: Vec<(u32, &'a [Violation])>,
+}
+
+impl<'a> From<&'a LiveState> for LiveStateView<'a> {
+    fn from(state: &'a LiveState) -> Self {
+        LiveStateView {
+            tree: &state.tree,
+            interner_arena: &state.interner_arena,
+            interner_spans: &state.interner_spans,
+            singles: state.singles.iter().map(|(k, v)| (k, &v[..])).collect(),
+            sets: state.sets.iter().map(|(k, v)| (k, &v[..])).collect(),
+            struct_viols: state
+                .struct_viols
+                .iter()
+                .map(|(x, vs)| (*x, &vs[..]))
+                .collect(),
+        }
+    }
 }
 
 /// An inconsistency detected while adopting a [`LiveState`] snapshot:
@@ -2533,39 +2578,68 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         })
     }
 
-    /// Exports the validator's owned state for snapshotting.
-    ///
-    /// The export is deterministic (columns and violation entries come out
-    /// in ascending key order) and self-contained: feeding it back through
-    /// [`LiveValidator::from_state`] — on this validator or a freshly built
-    /// one over the same schema — reproduces a validator whose report and
-    /// future edit behaviour are identical.
-    pub fn export_state(&self) -> LiveState {
-        let _span = self.v.obs.span("live.export");
-        let mut singles: Vec<SingleColumnState> = self
+    /// Lends the validator's snapshot state without copying it — what
+    /// the snapshot encoder reads. Columns and violation entries come out
+    /// in ascending key order, exactly as [`LiveValidator::export_state`]
+    /// lays them out.
+    pub fn state_view(&self) -> LiveStateView<'_> {
+        let mut singles: Vec<_> = self
             .store
             .singles
             .iter()
-            .map(|(k, col)| (k.clone(), col.vals.clone()))
+            .map(|(k, col)| (k, &col.vals[..]))
             .collect();
-        singles.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut sets: Vec<SetColumnState> = self
+        singles.sort_by(|a, b| a.0.cmp(b.0));
+        let mut sets: Vec<_> = self
             .store
             .sets
             .iter()
-            .map(|(k, col)| (k.clone(), col.vals.clone()))
+            .map(|(k, col)| (k, &col.vals[..]))
             .collect();
-        sets.sort_by(|a, b| a.0.cmp(&b.0));
-        LiveState {
-            tree: self.tree.clone(),
-            interner_arena: self.store.interner.arena().to_vec(),
-            interner_spans: self.store.interner.spans().to_vec(),
+        sets.sort_by(|a, b| a.0.cmp(b.0));
+        LiveStateView {
+            tree: &self.tree,
+            interner_arena: self.store.interner.arena(),
+            interner_spans: self.store.interner.spans(),
             singles,
             sets,
             struct_viols: self
                 .struct_viols
                 .iter()
-                .map(|(x, vs)| (*x, vs.clone()))
+                .map(|(x, vs)| (*x, &vs[..]))
+                .collect(),
+        }
+    }
+
+    /// Exports an owned copy of the validator's state.
+    ///
+    /// The export is deterministic (columns and violation entries come out
+    /// in ascending key order) and self-contained: feeding it back through
+    /// [`LiveValidator::from_state`] — on this validator or a freshly built
+    /// one over the same schema — reproduces a validator whose report and
+    /// future edit behaviour are identical. Persisting needs no copy:
+    /// encode [`LiveValidator::state_view`] instead.
+    pub fn export_state(&self) -> LiveState {
+        let _span = self.v.obs.span("live.export");
+        let view = self.state_view();
+        LiveState {
+            tree: view.tree.clone(),
+            interner_arena: view.interner_arena.to_vec(),
+            interner_spans: view.interner_spans.to_vec(),
+            singles: view
+                .singles
+                .into_iter()
+                .map(|(k, vals)| (k.clone(), vals.to_vec()))
+                .collect(),
+            sets: view
+                .sets
+                .into_iter()
+                .map(|(k, vals)| (k.clone(), vals.to_vec()))
+                .collect(),
+            struct_viols: view
+                .struct_viols
+                .into_iter()
+                .map(|(x, vs)| (x, vs.to_vec()))
                 .collect(),
         }
     }

@@ -67,7 +67,8 @@ mod structure;
 
 pub use constraints::check_constraint;
 pub use incremental::{
-    BatchEdit, BatchError, EditOutcome, LiveState, LiveValidator, ReportDiff, StateError,
+    BatchEdit, BatchError, EditOutcome, LiveState, LiveStateView, LiveValidator, ReportDiff,
+    StateError,
 };
 pub use report::{Report, Violation};
 pub use structure::{MatcherKind, Options, Validator};
