@@ -34,9 +34,10 @@
 //!   is submitted as one [`LiveValidator::apply_batch`] call: repeated
 //!   writes to the same (vertex, attribute) or text slot coalesce
 //!   last-writer-wins and propagation runs once for the batch, so the
-//!   printed diff is the script's *net* effect. `--sequential` restores
-//!   one propagation per line with per-edit diffs; the final report is
-//!   identical either way.
+//!   printed diff is the script's *net* effect. `--sequential` submits
+//!   one one-element batch per line ([`LiveValidator::apply`]) with
+//!   per-edit diffs; the final report is identical either way. The script
+//!   is parsed whole first, so a malformed line applies nothing.
 //! * `snapshot` / `recover` — durable live-validator state (`xic-storage`):
 //!   `snapshot` validates a document and persists its state as a versioned,
 //!   checksummed snapshot under `--state-dir`; `recover` warm-starts from
@@ -364,9 +365,9 @@ usage:
                incremental revalidation: the whole script is applied as ONE
                batch (repeated writes to the same cell coalesce, one
                propagation pass), printing the net violations it raised (+)
-               and cleared (-), then the final report. --sequential applies
-               line by line instead, printing each edit's own ± diff — same
-               final report, more propagation work. Script lines (# comments;
+               and cleared (-), then the final report. --sequential submits
+               one batch per line instead, printing each edit's own ± diff —
+               same final report, more propagation work. Script lines (# comments;
                vertices are the node numbers `render --ids` prints):
                  set-attr NODE ATTR V[,V...]    remove-attr NODE ATTR
                  set-text NODE INDEX [TEXT]     delete NODE
@@ -535,65 +536,7 @@ fn parse_node(s: &str) -> Result<NodeId, String> {
         .map_err(|_| format!("bad node id {s:?} (expected a node number, e.g. 7 or #7)"))
 }
 
-/// Applies one line of an edit script to the live validator.
-fn apply_script_line(live: &mut LiveValidator<'_, '_>, line: &str) -> Result<EditOutcome, String> {
-    let (cmd, _) = split_tokens(line, 1)?;
-    let model_err = |e: xic::model::ModelError| e.to_string();
-    match cmd[0] {
-        "set-attr" => {
-            let (toks, value) = split_tokens(line, 3)?;
-            if value.is_empty() {
-                return Err("set-attr NODE ATTR V[,V...]: missing value".into());
-            }
-            let vals: Vec<&str> = value.split(',').collect();
-            let av = if let [single] = vals.as_slice() {
-                AttrValue::single(*single)
-            } else {
-                AttrValue::set(vals)
-            };
-            live.set_attr(parse_node(toks[1])?, toks[2], av)
-                .map_err(model_err)
-        }
-        "remove-attr" => {
-            let (toks, rest) = split_tokens(line, 3)?;
-            if !rest.is_empty() {
-                return Err("remove-attr takes exactly NODE ATTR".into());
-            }
-            live.remove_attr(parse_node(toks[1])?, toks[2])
-                .map_err(model_err)
-        }
-        "set-text" => {
-            let (toks, text) = split_tokens(line, 3)?;
-            let index: usize = toks[2]
-                .parse()
-                .map_err(|_| format!("bad text index {:?}", toks[2]))?;
-            live.set_text(parse_node(toks[1])?, index, text)
-                .map_err(model_err)
-        }
-        "delete" => {
-            let (toks, rest) = split_tokens(line, 2)?;
-            if !rest.is_empty() {
-                return Err("delete takes exactly NODE".into());
-            }
-            live.delete_subtree(parse_node(toks[1])?).map_err(model_err)
-        }
-        "insert" => {
-            let (toks, fragment) = split_tokens(line, 3)?;
-            let position: usize = toks[2]
-                .parse()
-                .map_err(|_| format!("bad position {:?}", toks[2]))?;
-            let sub = parse_document(fragment).map_err(|e| format!("bad fragment: {e}"))?;
-            live.insert_subtree(parse_node(toks[1])?, position, &sub.tree)
-                .map_err(model_err)
-        }
-        other => Err(format!(
-            "unknown edit {other:?} (expected set-attr, remove-attr, set-text, delete or insert)"
-        )),
-    }
-}
-
-/// Parses one line of an edit script into a batch request: the grammar of
-/// [`apply_script_line`], without applying anything.
+/// Parses one line of an edit script into an edit request.
 fn parse_script_edit(line: &str) -> Result<BatchEdit, String> {
     let (cmd, _) = split_tokens(line, 1)?;
     match cmd[0] {
@@ -662,68 +605,79 @@ fn parse_script_edit(line: &str) -> Result<BatchEdit, String> {
     }
 }
 
-/// Plays an edit script against a live validator, rendering the output both
-/// `xic apply-edits` and `POST /edits` print.
-///
-/// The default path parses the whole script up front and submits it as one
-/// [`LiveValidator::apply_batch`] call: echoes each line, then a
-/// `batch: N edits` summary with the *net* ± violation diff (writes
-/// coalesce last-writer-wins, so violations both raised and cleared within
-/// the script cancel out). With `sequential` the pre-batching behaviour —
-/// one propagation per line, each line's own ± diff under it — is kept.
-/// Errors carry the 1-based script line number.
-fn run_edit_script(
-    live: &mut LiveValidator<'_, '_>,
-    script: &str,
-    sequential: bool,
-    out: &mut String,
-) -> Result<(), (usize, String)> {
-    if sequential {
-        for (idx, raw) in script.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let outcome = apply_script_line(live, line).map_err(|e| (idx + 1, e))?;
-            let _ = writeln!(out, "edit: {line}");
-            for v in &outcome.diff.raised {
-                let _ = writeln!(out, "  + {v}");
-            }
-            for v in &outcome.diff.cleared {
-                let _ = writeln!(out, "  - {v}");
-            }
-        }
-        return Ok(());
-    }
-    let mut lines: Vec<(usize, &str)> = Vec::new();
-    let mut batch: Vec<BatchEdit> = Vec::new();
+/// An edit script parsed whole: its non-blank, non-comment lines (with
+/// their 1-based line numbers) and the edit request each one names.
+struct Script<'a> {
+    lines: Vec<(usize, &'a str)>,
+    edits: Vec<BatchEdit>,
+}
+
+/// Parses every line of an edit script before any of it is applied, so a
+/// malformed line rejects the whole script. Errors carry the 1-based line
+/// number.
+fn parse_script(script: &str) -> Result<Script<'_>, (usize, String)> {
+    let mut parsed = Script {
+        lines: Vec::new(),
+        edits: Vec::new(),
+    };
     for (idx, raw) in script.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        batch.push(parse_script_edit(line).map_err(|e| (idx + 1, e))?);
-        lines.push((idx + 1, line));
+        parsed
+            .edits
+            .push(parse_script_edit(line).map_err(|e| (idx + 1, e))?);
+        parsed.lines.push((idx + 1, line));
     }
-    if batch.is_empty() {
+    Ok(parsed)
+}
+
+/// Plays a parsed edit script against a live validator, rendering the
+/// output both `xic apply-edits` and `POST /edits` print.
+///
+/// The default path submits the whole script as one
+/// [`LiveValidator::apply_batch`] call: echoes each line, then a
+/// `batch: N edits` summary with the *net* ± violation diff (writes
+/// coalesce last-writer-wins, so violations both raised and cleared within
+/// the script cancel out). With `sequential` each line is its own
+/// one-element batch ([`LiveValidator::apply`]), printed with its own ±
+/// diff under it. Either way, an edit that fails to apply leaves the lines
+/// before it applied; the error carries the 1-based script line number.
+fn run_edit_script(
+    live: &mut LiveValidator<'_, '_>,
+    script: &Script<'_>,
+    sequential: bool,
+    out: &mut String,
+) -> Result<(), (usize, String)> {
+    let print = |out: &mut String, diff: &ReportDiff| {
+        for v in &diff.raised {
+            let _ = writeln!(out, "  + {v}");
+        }
+        for v in &diff.cleared {
+            let _ = writeln!(out, "  - {v}");
+        }
+    };
+    if sequential {
+        for (&(n, line), edit) in script.lines.iter().zip(&script.edits) {
+            let outcome = live.apply(edit).map_err(|e| (n, e.to_string()))?;
+            let _ = writeln!(out, "edit: {line}");
+            print(out, &outcome.diff);
+        }
         return Ok(());
     }
-    match live.apply_batch(&batch) {
-        Ok(diff) => {
-            for (_, line) in &lines {
-                let _ = writeln!(out, "edit: {line}");
-            }
-            let _ = writeln!(out, "batch: {} edits", batch.len());
-            for v in &diff.raised {
-                let _ = writeln!(out, "  + {v}");
-            }
-            for v in &diff.cleared {
-                let _ = writeln!(out, "  - {v}");
-            }
-            Ok(())
-        }
-        Err(e) => Err((lines[e.index].0, e.error.to_string())),
+    if script.edits.is_empty() {
+        return Ok(());
     }
+    let diff = live
+        .apply_batch(&script.edits)
+        .map_err(|e| (script.lines[e.index].0, e.error.to_string()))?;
+    for (_, line) in &script.lines {
+        let _ = writeln!(out, "edit: {line}");
+    }
+    let _ = writeln!(out, "batch: {} edits", script.edits.len());
+    print(out, &diff);
+    Ok(())
 }
 
 fn cmd_apply_edits(o: &Opts, out: &mut String) -> Result<i32, String> {
@@ -748,7 +702,8 @@ fn cmd_apply_edits(o: &Opts, out: &mut String) -> Result<i32, String> {
     let validator = Validator::with_matcher(&dtdc, MatcherKind::Dfa, options).with_obs(obs.clone());
     let mut live = LiveValidator::new(&validator, doc.tree);
     let script = read(script_path)?;
-    run_edit_script(&mut live, &script, o.sequential, out)
+    parse_script(&script)
+        .and_then(|script| run_edit_script(&mut live, &script, o.sequential, out))
         .map_err(|(line, e)| format!("{script_path}:{line}: {e}"))?;
     let report = live.report();
     let _ = write!(out, "{report}");
@@ -1213,6 +1168,36 @@ ref.to <=s entry.isbn";
         assert!(out.contains("+ ") && out.contains("dangling"), "{out}");
         assert!(out.contains("- "), "expected the repair to clear: {out}");
         assert!(out.contains("valid"), "{out}");
+    }
+
+    #[test]
+    fn apply_edits_sequential_output_matches_its_fixture() {
+        // Every edit kind, a raise-then-clear pair, and a sub-element key
+        // that `set-text` can break, played one line at a time.
+        let dtd = tmp("book-seq.dtd", BOOK_DTD);
+        let sigma = tmp(
+            "book-seq.sigma",
+            &format!("{BOOK_SIGMA}\nentry.title -> entry\n"),
+        );
+        let doc = tmp("good-seq.xml", GOOD_DOC);
+        let script = tmp(
+            "sequential_edits.txt",
+            include_str!("../tests/fixtures/sequential_edits.txt"),
+        );
+        let (code, out) = call(&[
+            "apply-edits",
+            doc.to_str().unwrap(),
+            script.to_str().unwrap(),
+            "--dtd",
+            dtd.to_str().unwrap(),
+            "--root",
+            "book",
+            "--sigma",
+            sigma.to_str().unwrap(),
+            "--sequential",
+        ]);
+        assert_eq!(code, 1, "{out}");
+        assert_eq!(out, include_str!("../tests/fixtures/sequential_edits.out"));
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! | `PUT /docs/{id}` | ingest/replace a document; responds `201`/`200` with its validation report |
 //! | `GET /docs` | list document ids, one per line |
 //! | `GET /docs/{id}/report` | the doc's current validation report |
-//! | `POST /docs/{id}/edits` | apply an `apply-edits` script as one batch (or per line under `--sequential`); the response is byte-identical to `xic apply-edits` on the same script |
+//! | `POST /docs/{id}/edits` | apply an `apply-edits` script as one batch (or one batch per line under `--sequential`); the response is byte-identical to `xic apply-edits` on the same script |
 //! | `DELETE /docs/{id}` | evict the document and stop its shard |
 //! | `POST /docs/{id}/snapshot` | write the doc's snapshot now (`400` without `--state-dir`) |
 //! | `GET /report`, `POST /edits` | aliases for doc `default` |
@@ -102,7 +102,7 @@ use xic::obs::{Collector, DEFAULT_TRACE_CAPACITY};
 use xic::prelude::*;
 
 use crate::http::{self, HttpError, Request};
-use crate::{durable, load_dtdc, parse_opts, parse_script_edit, read, run_edit_script, Opts};
+use crate::{durable, load_dtdc, parse_opts, parse_script, read, run_edit_script, Opts};
 
 /// The address `xic serve` binds when `--addr` is absent.
 const DEFAULT_ADDR: &str = "127.0.0.1:9100";
@@ -1341,59 +1341,43 @@ fn apply_edit_script(
     disk: Option<&mut ShardDisk>,
     obs: &Obs,
 ) -> Result<String, String> {
-    let disk_and_batch = match disk {
+    // The whole script is parsed before anything applies or touches
+    // disk, so a malformed line rejects it with the document unchanged.
+    let script = parse_script(script).map_err(|(line, e)| format!("edits line {line}: {e}"))?;
+    let disk_and_mark = match disk {
         Some(disk) => {
-            // Pre-parse so the whole script can be logged up front; the
-            // same parse inside `run_edit_script` yields the same errors,
-            // so a malformed line is rejected here before anything
-            // touches disk.
-            let mut edits: Vec<(usize, BatchEdit)> = Vec::new();
-            for (idx, raw) in script.lines().enumerate() {
-                let line = raw.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                let edit =
-                    parse_script_edit(line).map_err(|e| format!("edits line {}: {e}", idx + 1))?;
-                edits.push((idx + 1, edit));
-            }
             let mark = disk.wal.mark();
-            if !edits.is_empty() {
-                let batch: Vec<BatchEdit> = edits.iter().map(|(_, e)| e.clone()).collect();
+            if !script.edits.is_empty() {
                 let span = obs.span("wal.append");
                 disk.wal
-                    .append(&batch)
+                    .append(&script.edits)
                     .map_err(|e| format!("wal append: {e}"))?;
                 span.end();
                 obs.add("wal.records", 1);
             }
-            Some((disk, mark, edits))
+            Some((disk, mark))
         }
         None => None,
     };
     let mut out = String::new();
-    if let Err((line, e)) = run_edit_script(live, script, sequential, &mut out) {
-        if let Some((disk, mark, edits)) = disk_and_batch {
+    if let Err((line, e)) = run_edit_script(live, &script, sequential, &mut out) {
+        if let Some((disk, mark)) = disk_and_mark {
             // Only the lines before the failing one were applied; rewrite
             // the log to hold exactly that prefix.
             disk.wal
                 .rollback(mark)
                 .map_err(|re| format!("wal rollback: {re} (after edits line {line}: {e})"))?;
-            let applied: Vec<BatchEdit> = edits
-                .iter()
-                .filter(|(l, _)| *l < line)
-                .map(|(_, edit)| edit.clone())
-                .collect();
-            if !applied.is_empty() {
+            let applied = script.lines.iter().take_while(|(l, _)| *l < line).count();
+            if applied > 0 {
                 disk.wal
-                    .append(&applied)
+                    .append(&script.edits[..applied])
                     .map_err(|ae| format!("wal rewrite: {ae} (after edits line {line}: {e})"))?;
             }
         }
         return Err(format!("edits line {line}: {e}"));
     }
     let _ = write!(out, "{}", live.report());
-    if let Some((disk, _, _)) = disk_and_batch {
+    if let Some((disk, _)) = disk_and_mark {
         disk.since_snapshot += 1;
         if disk.snapshot_every > 0 && disk.since_snapshot >= disk.snapshot_every {
             snapshot_now(live, disk, obs).map_err(|e| format!("snapshot: {e}"))?;
@@ -1602,6 +1586,23 @@ ref.to <=s entry.isbn";
             // Still serving after the errors.
             let (status, _) = http(addr, "GET", "/report", "");
             assert_eq!(status, 200);
+        });
+    }
+
+    #[test]
+    fn sequential_mode_rejects_a_malformed_script_whole() {
+        with_daemon(GOOD_DOC, &["--sequential"], |addr| {
+            let (_, before) = http(addr, "GET", "/report", "");
+            assert!(before.starts_with("valid"), "{before}");
+            // Line 1 is well-formed and would raise a violation; line 2
+            // does not parse, so neither line may apply.
+            let script = "set-attr 5 to dangling\nfrobnicate 1\n";
+            let (status, body) = http(addr, "POST", "/edits", script);
+            assert_eq!(status, 400, "{body}");
+            assert!(body.contains("edits line 2: unknown edit"), "{body}");
+            let (status, after) = http(addr, "GET", "/report", "");
+            assert_eq!(status, 200);
+            assert_eq!(after, before, "a rejected script changed the document");
         });
     }
 

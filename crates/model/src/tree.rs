@@ -555,19 +555,11 @@ impl DataTree {
         l: impl Into<Name>,
         value: AttrValue,
     ) -> Result<Edit, ModelError> {
-        self.check_alive(node)?;
-        let l = l.into();
-        let attrs = &mut self.nodes[node.index()].attrs;
-        let old = match attrs.binary_search_by(|(n, _)| n.cmp(&l)) {
-            Ok(i) => Some(std::mem::replace(&mut attrs[i].1, value.clone())),
-            Err(pos) => {
-                attrs.insert(pos, (l.clone(), value.clone()));
-                None
-            }
-        };
+        let attr = l.into();
+        let old = self.set_attr_quiet(node, attr.clone(), value.clone())?;
         Ok(Edit::SetAttr {
             node,
-            attr: l,
+            attr,
             old,
             new: value,
         })
@@ -576,17 +568,10 @@ impl DataTree {
     /// Removes attribute `l` from `node`, returning the
     /// [`Edit::RemoveAttr`] delta. Errors if the attribute is not set.
     pub fn remove_attr(&mut self, node: NodeId, l: &str) -> Result<Edit, ModelError> {
-        self.check_alive(node)?;
-        let attrs = &mut self.nodes[node.index()].attrs;
-        match attrs.binary_search_by(|(n, _)| n.as_str().cmp(l)) {
-            Ok(i) => {
-                let (attr, old) = attrs.remove(i);
-                Ok(Edit::RemoveAttr { node, attr, old })
-            }
-            Err(_) => Err(ModelError::NoSuchAttribute {
-                node,
-                attr: Name::new(l),
-            }),
+        let attr = Name::new(l);
+        match self.remove_attr_quiet(node, l)? {
+            Some(old) => Ok(Edit::RemoveAttr { node, attr, old }),
+            None => Err(ModelError::NoSuchAttribute { node, attr }),
         }
     }
 
@@ -601,24 +586,14 @@ impl DataTree {
         index: usize,
         text: impl Into<Value>,
     ) -> Result<Edit, ModelError> {
-        self.check_alive(node)?;
         let text = text.into();
-        let mut k = 0usize;
-        for c in &mut self.nodes[node.index()].children {
-            if let Child::Text(t) = c {
-                if k == index {
-                    let old = std::mem::replace(t, text.clone());
-                    return Ok(Edit::SetText {
-                        node,
-                        index,
-                        old,
-                        new: text,
-                    });
-                }
-                k += 1;
-            }
-        }
-        Err(ModelError::NoSuchText { node, index })
+        let old = self.set_text_quiet(node, index, text.clone())?;
+        Ok(Edit::SetText {
+            node,
+            index,
+            old,
+            new: text,
+        })
     }
 
     /// [`DataTree::set_attr`] without the [`Edit`] delta: returns only the

@@ -19,11 +19,19 @@
 //! * per-constraint **violation tables** keyed so that in-order iteration
 //!   reproduces the sequential engine's emission order byte for byte.
 //!
-//! Each edit returns an [`EditOutcome`]: the typed [`Edit`] delta the tree
-//! produced and a [`ReportDiff`] of violations newly raised and newly
-//! cleared, while [`LiveValidator::report`] stays byte-identical to
-//! `Validator::validate` on the current tree (enforced by the
-//! `incremental_equivalence` proptest).
+//! Edits take one propagation path: a batch of [`BatchEdit`] requests is
+//! *staged* (structural edits hit the tree at once, value writes pend with
+//! last-writer-wins) and then *flushed* once, re-extracting each touched
+//! column cell and dispatching each surviving change only to the
+//! constraint parts subscribed to its column.
+//! [`LiveValidator::apply_batch`] runs a whole batch and returns its net
+//! [`ReportDiff`]; [`LiveValidator::apply`] and the per-edit methods
+//! (`set_attr`, `insert_subtree`, …) run a one-element batch and return an
+//! [`EditOutcome`]: the typed [`Edit`] delta the tree produced and the
+//! violations newly raised and newly cleared. Either way
+//! [`LiveValidator::report`] stays byte-identical to `Validator::validate`
+//! on the current tree (enforced by the `incremental_equivalence`
+//! proptests).
 //!
 //! Per edit the work is bounded by the number of vertices whose violation
 //! status can actually change — the edited vertex, its parent, and the
@@ -1811,16 +1819,16 @@ fn build_parts(dtdc: &DtdC) -> Vec<Part> {
     parts
 }
 
-/// Dense column ids, reverse keys, and per-column part subscriptions for
-/// the batch path, built once at construction.
+/// Dense column ids, reverse keys, and per-column part subscriptions,
+/// built once at construction.
 ///
-/// The per-edit path dispatches every change to every part; each part's
-/// `apply` drops changes outside its `(τ, field)` interest set via name
-/// comparisons, so at one change per edit the waste is a cheap scan. A
-/// batch dispatches thousands of cell deltas, so the scan is hoisted into
-/// this index: dispatching a delta only to the parts subscribed to its
-/// column is behavior-preserving because the skipped `apply` calls were
-/// no-ops by those same match arms.
+/// Each part's `apply` drops changes outside its `(τ, field)` interest
+/// set via name comparisons. A flush dispatches every cell delta through
+/// this index instead, only to the parts subscribed to the delta's
+/// column; that is behavior-preserving because the skipped `apply` calls
+/// were no-ops by those same match arms. Only vertex-level changes
+/// (`NodeAdded` / `NodeRemoved`, which span every column of a type) still
+/// go to every part.
 struct Subs {
     /// Planned single-valued column ↦ dense id (`0..singles`).
     single_ids: HashMap<(Name, Field), u32>,
@@ -1932,7 +1940,8 @@ impl Subs {
     }
 }
 
-/// One request in a [`LiveValidator::apply_batch`] batch.
+/// One edit request: an element of a [`LiveValidator::apply_batch`] batch,
+/// or a single edit for [`LiveValidator::apply`].
 ///
 /// Unlike [`Edit`] — which records what a mutation *did* (displaced
 /// values, assigned ids) — a `BatchEdit` describes what *to do*, so a
@@ -1979,6 +1988,19 @@ pub enum BatchEdit {
         /// The subtree root to delete.
         node: NodeId,
     },
+}
+
+impl BatchEdit {
+    /// The span [`LiveValidator::apply`] records for this kind of request.
+    fn span_name(&self) -> &'static str {
+        match self {
+            BatchEdit::SetAttr { .. } => "edit.set_attr",
+            BatchEdit::RemoveAttr { .. } => "edit.remove_attr",
+            BatchEdit::SetText { .. } => "edit.set_text",
+            BatchEdit::InsertSubtree { .. } => "edit.insert_subtree",
+            BatchEdit::DeleteSubtree { .. } => "edit.delete_subtree",
+        }
+    }
 }
 
 /// An invalid request inside a [`LiveValidator::apply_batch`] batch: the
@@ -2032,6 +2054,12 @@ struct BatchState {
     /// Structural requests staged (inserts + deletes). They never
     /// coalesce, so they count into `edit.coalesced` directly.
     structural: u64,
+}
+
+/// One planned column's dense values, before its occurrence map is built.
+enum RawVals {
+    Single((Name, Field), Vec<Option<Sym>>),
+    Set((Name, Name), Vec<Vec<Sym>>),
 }
 
 /// One single-valued column of a [`LiveState`]: the `(element type,
@@ -2141,13 +2169,15 @@ impl std::error::Error for StateError {}
 ///
 /// Construction pays one full validation pass (building the mutable column
 /// store, ID table, structural map, and per-constraint violation tables);
-/// each edit thereafter updates only the state the edit can affect and
+/// each edit or batch thereafter updates only the state it can affect and
 /// returns the violation diff. [`LiveValidator::report`] is always
 /// byte-identical to [`Validator::validate`] on [`LiveValidator::tree`].
 ///
-/// Incremental checking is inherently sequential — per-edit work is far
-/// below the engine's parallel cutoff — so the validator's `threads`
-/// option is ignored here (reports are identical at every setting anyway).
+/// Bulk construction ([`LiveValidator::new`]) and warm start
+/// ([`LiveValidator::from_state`]) fan their per-column and per-constraint
+/// builds out over the validator's `threads` budget. Edit propagation is
+/// sequential: its work is far below the engine's parallel cutoff. Reports
+/// are identical at every thread setting.
 pub struct LiveValidator<'v, 'd> {
     v: &'v Validator<'d>,
     tree: DataTree,
@@ -2173,25 +2203,12 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
     /// diff accounting.
     pub fn new(v: &'v Validator<'d>, tree: DataTree) -> Self {
         let _init = v.obs.span("live.init");
-        let s = v.dtdc().structure();
         let idx = ExtIndex::build(&tree);
-
-        let mut store = Store {
-            interner: Interner::new(),
-            singles: HashMap::new(),
-            sets: HashMap::new(),
-        };
+        let mut interner = Interner::new();
         // Extraction interns through the one shared interner and stays
         // sequential; everything downstream of it is per-column
         // independent and fans out over the same thread budget the
         // one-shot engine's check phase uses.
-        let threads = (tree.len() / crate::par::MIN_NODES_PER_THREAD)
-            .max(1)
-            .min(v.effective_threads());
-        enum RawVals {
-            Single((Name, Field), Vec<Option<Sym>>),
-            Set((Name, Name), Vec<Vec<Sym>>),
-        }
         let bound = tree.id_bound();
         let mut raw: Vec<(RawVals, Vec<(Sym, u32)>)> = Vec::new();
         for (tau, fields) in &v.plan.singles {
@@ -2207,7 +2224,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
             for &x in ext {
                 let xi = x.index() as u32;
                 for (col, field) in cols.iter_mut().zip(fields) {
-                    let val = extract_single(&tree, x, field, &mut store.interner);
+                    let val = extract_single(&tree, x, field, &mut interner);
                     col.0[xi as usize] = val;
                     if let Some(sym) = val {
                         col.1.push((sym, xi));
@@ -2227,11 +2244,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                 for &x in ext {
                     let xi = x.index() as u32;
                     let members: Vec<Sym> = match tree.attr(x, attr) {
-                        Some(val) => val
-                            .values()
-                            .iter()
-                            .map(|s| store.interner.intern(s))
-                            .collect(),
+                        Some(val) => val.values().iter().map(|s| interner.intern(s)).collect(),
                         None => Vec::new(),
                     };
                     for &m in &members {
@@ -2242,96 +2255,15 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                 raw.push((RawVals::Set((tau.clone(), attr.clone()), vals), pairs));
             }
         }
-        let nsym = store.interner.len();
-        let built = crate::par::fan_out(threads, raw, &v.obs, "init.col", |(rv, pairs)| {
-            (rv, build_occ(&pairs, nsym))
-        });
-        for (rv, occ) in built {
-            match rv {
-                RawVals::Single(key, vals) => {
-                    store.singles.insert(key, SingleCol { vals, occ });
-                }
-                RawVals::Set(key, vals) => {
-                    store.sets.insert(key, SetCol { vals, occ });
-                }
-            }
-        }
-
-        let mut ids = IdTable::default();
-        for (rank, tau) in s.element_types().enumerate() {
-            ids.ranks.insert(tau.clone(), rank as u32);
-        }
-        if v.plan.needs_ids {
-            for tau in s.element_types() {
-                if let Some(a) = s.id_attr(tau) {
-                    ids.id_field_of.insert(tau.clone(), Field::Attr(a.clone()));
-                }
-            }
-            let IdTable {
-                ranks,
-                id_field_of,
-                carriers,
-            } = &mut ids;
-            for (tau, f) in id_field_of.iter() {
-                let Some(col) = store.singles.get(&(tau.clone(), f.clone())) else {
-                    continue;
-                };
-                let rank = ranks[tau];
-                for &x in idx.ext(tau) {
-                    let xi = x.index() as u32;
-                    if let Some(val) = col.get(xi) {
-                        carriers.entry(val).or_default().insert((rank, xi));
-                    }
-                }
-            }
-        }
-
-        let mut root_viol = None;
-        let root_label = tree.label(tree.root());
-        if root_label != s.root() {
-            root_viol = Some(Violation::RootLabel {
-                expected: s.root().clone(),
-                found: root_label.clone(),
-            });
-        }
-        // Vertices are structurally independent: chunk the scan, then
-        // merge the (ascending) per-chunk results in order.
-        let all_nodes: Vec<NodeId> = tree.node_ids().collect();
-        let chunks = crate::par::chunked(threads, all_nodes.len(), &v.obs, "init.struct", |r| {
-            let mut word: Vec<Symbol> = Vec::new();
-            let mut buf: Vec<Violation> = Vec::new();
-            let mut out: Vec<(u32, Vec<Violation>)> = Vec::new();
-            for &id in &all_nodes[r] {
-                buf.clear();
-                v.check_structure_node(&tree, id, &mut word, &mut buf);
-                if !buf.is_empty() {
-                    out.push((id.index() as u32, buf.clone()));
-                }
-            }
-            out
-        });
-        let mut struct_viols = BTreeMap::new();
-        for chunk in chunks {
-            struct_viols.extend(chunk);
-        }
-
-        let mut parts = build_parts(v.dtdc());
-        let items: Vec<(u32, &mut Part)> = (0u32..).zip(parts.iter_mut()).collect();
-        crate::par::fan_out(threads, items, &v.obs, "init.part", |(pi, p)| {
-            p.init(&idx, &store, &ids, pi);
-        });
-        let subs = Subs::build(&store, &parts, &ids);
-
-        LiveValidator {
+        Self::assemble(
             v,
             tree,
-            store,
-            ids,
-            parts,
-            subs,
-            struct_viols,
-            root_viol,
-        }
+            &idx,
+            interner,
+            raw,
+            None,
+            ["init.col", "init.part"],
+        )
     }
 
     /// Rebuilds a live validator from an exported [`LiveState`] without
@@ -2355,7 +2287,6 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
     /// bound. Cells of dead vertices must be empty.
     pub fn from_state(v: &'v Validator<'d>, state: LiveState) -> Result<Self, StateError> {
         let _warm = v.obs.span("live.warm");
-        let s = v.dtdc().structure();
         let LiveState {
             tree,
             interner_arena,
@@ -2469,22 +2400,10 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         }
 
         let idx = ExtIndex::build(&tree);
-        let threads = (tree.len() / crate::par::MIN_NODES_PER_THREAD)
-            .max(1)
-            .min(v.effective_threads());
-        let mut store = Store {
-            interner,
-            singles: HashMap::new(),
-            sets: HashMap::new(),
-        };
         // Occurrence maps are regrouped exactly as bulk init groups them:
         // pairs ascend by vertex (extraction walked extents in ascending
         // id order, and dense cells are revisited the same way), and the
         // counting sort is stable, so `Holders` runs come out identical.
-        enum RawVals {
-            Single((Name, Field), Vec<Option<Sym>>),
-            Set((Name, Name), Vec<Vec<Sym>>),
-        }
         let mut raw: Vec<(RawVals, Vec<(Sym, u32)>)> =
             Vec::with_capacity(singles.len() + sets.len());
         for (key, vals) in singles {
@@ -2505,7 +2424,46 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
             }
             raw.push((RawVals::Set(key, vals), pairs));
         }
-        let built = crate::par::fan_out(threads, raw, &v.obs, "warm.col", |(rv, pairs)| {
+        let struct_viols = struct_viols.into_iter().collect();
+        Ok(Self::assemble(
+            v,
+            tree,
+            &idx,
+            interner,
+            raw,
+            Some(struct_viols),
+            ["warm.col", "warm.part"],
+        ))
+    }
+
+    /// The assembly steps [`LiveValidator::new`] and
+    /// [`LiveValidator::from_state`] share, from the planned columns' dense
+    /// values on: occurrence maps (one counting sort per column over its
+    /// `(value, vertex)` pairs, ascending by vertex), the ID table, the
+    /// root-label check, the structural table (scanned from the tree when
+    /// `struct_viols` is `None`), per-constraint tables, and subscriptions.
+    /// Column and part builds fan out over the validator's thread budget
+    /// under the two `spans` labels.
+    fn assemble(
+        v: &'v Validator<'d>,
+        tree: DataTree,
+        idx: &ExtIndex,
+        interner: Interner,
+        raw: Vec<(RawVals, Vec<(Sym, u32)>)>,
+        struct_viols: Option<BTreeMap<u32, Vec<Violation>>>,
+        [col_span, part_span]: [&'static str; 2],
+    ) -> Self {
+        let s = v.dtdc().structure();
+        let threads = (tree.len() / crate::par::MIN_NODES_PER_THREAD)
+            .max(1)
+            .min(v.effective_threads());
+        let nsym = interner.len();
+        let mut store = Store {
+            interner,
+            singles: HashMap::new(),
+            sets: HashMap::new(),
+        };
+        let built = crate::par::fan_out(threads, raw, &v.obs, col_span, |(rv, pairs)| {
             (rv, build_occ(&pairs, nsym))
         });
         for (rv, occ) in built {
@@ -2558,24 +2516,44 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                 found: root_label.clone(),
             });
         }
+        let struct_viols = struct_viols.unwrap_or_else(|| {
+            // Vertices are structurally independent: chunk the scan, then
+            // merge the (ascending) per-chunk results in order.
+            let all_nodes: Vec<NodeId> = tree.node_ids().collect();
+            let chunks =
+                crate::par::chunked(threads, all_nodes.len(), &v.obs, "init.struct", |r| {
+                    let mut word: Vec<Symbol> = Vec::new();
+                    let mut buf: Vec<Violation> = Vec::new();
+                    let mut out: Vec<(u32, Vec<Violation>)> = Vec::new();
+                    for &id in &all_nodes[r] {
+                        buf.clear();
+                        v.check_structure_node(&tree, id, &mut word, &mut buf);
+                        if !buf.is_empty() {
+                            out.push((id.index() as u32, buf.clone()));
+                        }
+                    }
+                    out
+                });
+            chunks.into_iter().flatten().collect()
+        });
 
         let mut parts = build_parts(v.dtdc());
         let items: Vec<(u32, &mut Part)> = (0u32..).zip(parts.iter_mut()).collect();
-        crate::par::fan_out(threads, items, &v.obs, "warm.part", |(pi, p)| {
-            p.init(&idx, &store, &ids, pi);
+        crate::par::fan_out(threads, items, &v.obs, part_span, |(pi, p)| {
+            p.init(idx, &store, &ids, pi);
         });
         let subs = Subs::build(&store, &parts, &ids);
 
-        Ok(LiveValidator {
+        LiveValidator {
             v,
             tree,
             store,
             ids,
             parts,
             subs,
-            struct_viols: struct_viols.into_iter().collect(),
+            struct_viols,
             root_viol,
-        })
+        }
     }
 
     /// Lends the validator's snapshot state without copying it — what
@@ -2673,6 +2651,33 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         self.v.obs.clone()
     }
 
+    /// Applies one edit request and returns the tree's [`Edit`] delta
+    /// together with the violation diff the edit caused.
+    ///
+    /// A single edit is a one-element batch: it is staged and flushed by
+    /// the same machinery as [`LiveValidator::apply_batch`], so every edit
+    /// takes one propagation path. The delta is the one [`DataTree`]'s own
+    /// mutator returns: structural requests hand it back from staging, and
+    /// value writes read the displaced value while still pending. On an
+    /// error nothing is applied.
+    pub fn apply(&mut self, edit: &BatchEdit) -> Result<EditOutcome, ModelError> {
+        let obs = self.obs();
+        let _edit = obs.span("edit");
+        let _kind = obs.span(edit.span_name());
+        let mut st = BatchState {
+            pre_bound: self.tree.id_bound() as u32,
+            ..Default::default()
+        };
+        let delta = match self.stage(edit, &mut st)? {
+            Some(delta) => delta,
+            None => self.pending_delta(edit),
+        };
+        let raw = st.staged;
+        let (mut diff, coalesced) = self.flush(st);
+        Self::record(&obs, raw, coalesced, &mut diff);
+        Ok(EditOutcome { edit: delta, diff })
+    }
+
     /// Sets attribute `l` of `node` (creating or replacing it) and
     /// revalidates incrementally.
     pub fn set_attr(
@@ -2681,130 +2686,54 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         l: impl Into<Name>,
         value: AttrValue,
     ) -> Result<EditOutcome, ModelError> {
-        let obs = self.obs();
-        let _edit = obs.span("edit");
-        let _kind = obs.span("edit.set_attr");
-        let l: Name = l.into();
-        let edit = self.tree.set_attr(node, l.clone(), value)?;
-        let mut acc = DiffAcc::default();
-        self.apply_attr_change(node, &l, &mut acc);
-        self.refresh_struct(node, &mut acc);
-        Ok(self.outcome(edit, acc))
+        self.apply(&BatchEdit::SetAttr {
+            node,
+            attr: l.into(),
+            value,
+        })
     }
 
     /// Removes attribute `l` of `node` and revalidates incrementally.
     pub fn remove_attr(&mut self, node: NodeId, l: &str) -> Result<EditOutcome, ModelError> {
-        let obs = self.obs();
-        let _edit = obs.span("edit");
-        let _kind = obs.span("edit.remove_attr");
-        let edit = self.tree.remove_attr(node, l)?;
-        let Edit::RemoveAttr { attr, .. } = &edit else {
-            unreachable!("remove_attr yields a RemoveAttr delta");
-        };
-        let attr = attr.clone();
-        let mut acc = DiffAcc::default();
-        self.apply_attr_change(node, &attr, &mut acc);
-        self.refresh_struct(node, &mut acc);
-        Ok(self.outcome(edit, acc))
+        self.apply(&BatchEdit::RemoveAttr {
+            node,
+            attr: l.into(),
+        })
     }
 
     /// Replaces the `index`-th *text* child of `node` and revalidates
-    /// incrementally. The child word is unchanged, so no structural
-    /// recheck is needed; only the parent's sub-element column can shift.
+    /// incrementally.
     pub fn set_text(
         &mut self,
         node: NodeId,
         index: usize,
         text: impl Into<Value>,
     ) -> Result<EditOutcome, ModelError> {
-        let obs = self.obs();
-        let _edit = obs.span("edit");
-        let _kind = obs.span("edit.set_text");
-        let edit = self.tree.set_text(node, index, text)?;
-        let mut acc = DiffAcc::default();
-        if let Some(p) = self.tree.node(node).parent() {
-            let ptau = self.tree.label(p).clone();
-            let e = self.tree.label(node).clone();
-            self.emit_single(&ptau, &Field::Sub(e), p.index() as u32, &mut acc);
-        }
-        Ok(self.outcome(edit, acc))
+        self.apply(&BatchEdit::SetText {
+            node,
+            index,
+            text: text.into(),
+        })
     }
 
     /// Grafts a copy of `fragment` under `parent` at child `position` and
-    /// revalidates incrementally. The new vertices get fresh ids at the
-    /// arena end, so every extent view only appends and report order is
-    /// preserved.
+    /// revalidates incrementally.
     pub fn insert_subtree(
         &mut self,
         parent: NodeId,
         position: usize,
         fragment: &DataTree,
     ) -> Result<EditOutcome, ModelError> {
-        let obs = self.obs();
-        let _edit = obs.span("edit");
-        let _kind = obs.span("edit.insert_subtree");
-        let before = self.tree.id_bound();
-        let edit = self.tree.insert_subtree(parent, position, fragment)?;
-        let Edit::InsertSubtree { root, .. } = &edit else {
-            unreachable!("insert_subtree yields an InsertSubtree delta");
-        };
-        let root = *root;
-        let mut acc = DiffAcc::default();
-        let new_ids: Vec<NodeId> = (before..self.tree.id_bound())
-            .map(NodeId::from_index)
-            .collect();
-        // Fill every new vertex's columns first, then announce them: the
-        // store must reflect the final state before any part refreshes,
-        // and each refresh is idempotent over it.
-        for &x in &new_ids {
-            self.fill_node(x);
-        }
-        for &x in &new_ids {
-            let tau = self.tree.label(x).clone();
-            self.dispatch(
-                Change::NodeAdded {
-                    tau,
-                    node: x.index() as u32,
-                },
-                &mut acc,
-            );
-            self.refresh_struct(x, &mut acc);
-        }
-        let e = self.tree.label(root).clone();
-        let ptau = self.tree.label(parent).clone();
-        self.emit_single(&ptau, &Field::Sub(e), parent.index() as u32, &mut acc);
-        self.refresh_struct(parent, &mut acc);
-        Ok(self.outcome(edit, acc))
+        self.apply(&BatchEdit::InsertSubtree {
+            parent,
+            position,
+            fragment: fragment.clone(),
+        })
     }
 
     /// Deletes the subtree rooted at `node` and revalidates incrementally.
     pub fn delete_subtree(&mut self, node: NodeId) -> Result<EditOutcome, ModelError> {
-        let obs = self.obs();
-        let _edit = obs.span("edit");
-        let _kind = obs.span("edit.delete_subtree");
-        let edit = self.tree.delete_subtree(node)?;
-        let Edit::DeleteSubtree { parent, root, .. } = &edit else {
-            unreachable!("delete_subtree yields a DeleteSubtree delta");
-        };
-        let (parent, root) = (*parent, *root);
-        let mut acc = DiffAcc::default();
-        // The tombstoned vertices are still readable; collect the removed
-        // subtree in ascending id order and retract each vertex.
-        let mut removed: Vec<NodeId> = Vec::new();
-        let mut stack = vec![root];
-        while let Some(x) = stack.pop() {
-            removed.push(x);
-            stack.extend(self.tree.node(x).child_nodes());
-        }
-        removed.sort_by_key(|n| n.index());
-        for &x in &removed {
-            self.remove_node(x, &mut acc);
-        }
-        let e = self.tree.label(root).clone();
-        let ptau = self.tree.label(parent).clone();
-        self.emit_single(&ptau, &Field::Sub(e), parent.index() as u32, &mut acc);
-        self.refresh_struct(parent, &mut acc);
-        Ok(self.outcome(edit, acc))
+        self.apply(&BatchEdit::DeleteSubtree { node })
     }
 
     /// Applies a batch of edit requests with one propagation pass.
@@ -2822,7 +2751,8 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
     /// and cleared violations in a single emission-order pass.
     ///
     /// The resulting [`LiveValidator::report`] is byte-identical to
-    /// applying the same requests one at a time; the returned diff is the
+    /// applying the same requests one at a time through
+    /// [`LiveValidator::apply`]; the returned diff is the
     /// composition of the per-request diffs (violations both raised and
     /// cleared within the batch cancel out). On an invalid request the
     /// staged prefix is still flushed — the validator stays consistent
@@ -2854,6 +2784,13 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         if let Some(err) = failed {
             return Err(err);
         }
+        Self::record(&obs, raw, coalesced, &mut diff);
+        Ok(diff)
+    }
+
+    /// Counts one flushed batch of `raw` requests, `coalesced` of which
+    /// survived last-writer-wins, and attaches the metrics snapshot.
+    fn record(obs: &Obs, raw: u64, coalesced: u64, diff: &mut ReportDiff) {
         if obs.enabled() {
             obs.add("edits", raw);
             obs.add("edit.count", raw);
@@ -2862,7 +2799,6 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
             obs.add("violations.cleared", diff.cleared.len() as u64);
             diff.metrics = obs.snapshot();
         }
-        Ok(diff)
     }
 
     /// [`DataTree`]'s liveness check, without mutating: the staged paths
@@ -2907,9 +2843,10 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
 
     /// Stages one batch request: validates it against the current staged
     /// state, applies structural mutations to the tree, pends value
-    /// writes, and records the cells and vertices it touches.
-    fn stage(&mut self, e: &BatchEdit, st: &mut BatchState) -> Result<(), ModelError> {
-        match e {
+    /// writes, and records the cells and vertices it touches. A structural
+    /// request returns the tree's delta; a pending write returns `None`.
+    fn stage(&mut self, e: &BatchEdit, st: &mut BatchState) -> Result<Option<Edit>, ModelError> {
+        let delta = match e {
             BatchEdit::SetAttr { node, attr, value } => {
                 self.check_live(*node)?;
                 // An overwritten pending write already recorded its cells;
@@ -2921,6 +2858,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                 {
                     self.touch_attr_cells(*node, attr, st);
                 }
+                None
             }
             BatchEdit::RemoveAttr { node, attr } => {
                 self.check_live(*node)?;
@@ -2938,6 +2876,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                 if st.pend_attr.insert((xi, attr.clone()), None).is_none() {
                     self.touch_attr_cells(*node, attr, st);
                 }
+                None
             }
             BatchEdit::SetText { node, index, text } => {
                 self.check_live(*node)?;
@@ -2962,6 +2901,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                         self.touch_sub_cell(p, &e, st);
                     }
                 }
+                None
             }
             BatchEdit::InsertSubtree {
                 parent,
@@ -2978,6 +2918,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                 st.structural += 1;
                 self.touch_sub_cell(*parent, &e, st);
                 st.struct_touch.push(parent.index() as u32);
+                Some(edit)
             }
             BatchEdit::DeleteSubtree { node } => {
                 let edit = self.tree.delete_subtree(*node)?;
@@ -2994,10 +2935,49 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                 let e = self.tree.label(root).clone();
                 self.touch_sub_cell(parent, &e, st);
                 st.struct_touch.push(parent.index() as u32);
+                Some(edit)
+            }
+        };
+        st.staged += 1;
+        Ok(delta)
+    }
+
+    /// The [`Edit`] delta of a value write staged alone, read while the
+    /// write is still pending, so the tree still holds the displaced value.
+    fn pending_delta(&self, e: &BatchEdit) -> Edit {
+        let tree = &self.tree;
+        match e {
+            BatchEdit::SetAttr { node, attr, value } => Edit::SetAttr {
+                node: *node,
+                attr: attr.clone(),
+                old: tree.attr(*node, attr).cloned(),
+                new: value.clone(),
+            },
+            BatchEdit::RemoveAttr { node, attr } => Edit::RemoveAttr {
+                node: *node,
+                attr: attr.clone(),
+                old: tree
+                    .attr(*node, attr)
+                    .cloned()
+                    .expect("staging checked the attribute is set"),
+            },
+            BatchEdit::SetText { node, index, text } => Edit::SetText {
+                node: *node,
+                index: *index,
+                old: tree
+                    .node(*node)
+                    .children
+                    .iter()
+                    .filter_map(|c| c.as_text())
+                    .nth(*index)
+                    .expect("staging checked the text slot")
+                    .to_string(),
+                new: text.clone(),
+            },
+            BatchEdit::InsertSubtree { .. } | BatchEdit::DeleteSubtree { .. } => {
+                unreachable!("structural requests return their delta from staging")
             }
         }
-        st.staged += 1;
-        Ok(())
     }
 
     /// Applies everything staged in `st` with one propagation pass,
@@ -3208,91 +3188,6 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         ids.apply(&change, store);
         for &pi in &subs.parts_of[col as usize] {
             parts[pi as usize].apply(&change, store, ids, pi, acc);
-        }
-    }
-
-    fn outcome(&mut self, edit: Edit, acc: DiffAcc) -> EditOutcome {
-        let mut diff = acc.finalize(&self.struct_viols, &self.parts);
-        let obs = &self.v.obs;
-        if obs.enabled() {
-            obs.add("edits", 1);
-            obs.add("edit.count", 1);
-            obs.add("edit.coalesced", 1);
-            obs.add("violations.raised", diff.raised.len() as u64);
-            obs.add("violations.cleared", diff.cleared.len() as u64);
-            diff.metrics = obs.snapshot();
-        }
-        EditOutcome { edit, diff }
-    }
-
-    /// Re-extracts both columns attribute `l` can feed (a single-valued
-    /// `Attr` field and a set-valued attribute column) and dispatches any
-    /// change.
-    fn apply_attr_change(&mut self, node: NodeId, l: &Name, acc: &mut DiffAcc) {
-        let tau = self.tree.label(node).clone();
-        let xi = node.index() as u32;
-        self.emit_single(&tau, &Field::Attr(l.clone()), xi, acc);
-        self.emit_set(&tau, l, xi, acc);
-    }
-
-    /// Recomputes one single-valued cell from the tree; if it changed,
-    /// updates the store and dispatches the delta. No-op for unplanned
-    /// columns.
-    fn emit_single(&mut self, tau: &Name, field: &Field, x: u32, acc: &mut DiffAcc) {
-        let key = (tau.clone(), field.clone());
-        if !self.store.singles.contains_key(&key) {
-            return;
-        }
-        let Self { tree, store, .. } = &mut *self;
-        let new = extract_single(tree, nid(x), field, &mut store.interner);
-        let old = store
-            .singles
-            .get_mut(&key)
-            .expect("checked above")
-            .set(x, new);
-        if old != new {
-            self.dispatch(
-                Change::Single {
-                    tau: tau.clone(),
-                    field: field.clone(),
-                    node: x,
-                    old,
-                    new,
-                },
-                acc,
-            );
-        }
-    }
-
-    /// Set-valued counterpart of [`Self::emit_single`].
-    fn emit_set(&mut self, tau: &Name, attr: &Name, x: u32, acc: &mut DiffAcc) {
-        let key = (tau.clone(), attr.clone());
-        if !self.store.sets.contains_key(&key) {
-            return;
-        }
-        let Self { tree, store, .. } = &mut *self;
-        let new: Vec<Sym> = match tree.attr(nid(x), attr) {
-            Some(val) => val
-                .values()
-                .iter()
-                .map(|s| store.interner.intern(s))
-                .collect(),
-            None => Vec::new(),
-        };
-        let old = store
-            .sets
-            .get_mut(&key)
-            .expect("checked above")
-            .set(x, new.clone());
-        if old != new {
-            self.dispatch(
-                Change::Set {
-                    tau: tau.clone(),
-                    attr: attr.clone(),
-                    node: x,
-                },
-                acc,
-            );
         }
     }
 

@@ -12,9 +12,9 @@
 
 use proptest::prelude::*;
 use xic_constraints::{Constraint, DtdC, DtdStructure, Field, Language};
-use xic_model::{AttrValue, Child, DataTree, NodeId, TreeBuilder};
+use xic_model::{AttrValue, Child, DataTree, Edit, NodeId, TreeBuilder};
 use xic_validate::{
-    BatchEdit, LiveValidator, MatcherKind, Options, ReportDiff, Validator, Violation,
+    BatchEdit, EditOutcome, LiveValidator, MatcherKind, Options, Validator, Violation,
 };
 
 /// Same universe as the stream-equivalence test: three element types with
@@ -215,7 +215,7 @@ fn edit_recipe() -> BoxedStrategy<EditRecipe> {
 /// Applies one recipe; `None` means the recipe was inapplicable (removing
 /// an absent attribute, editing text of a text-less vertex, deleting the
 /// root) and the step is skipped.
-fn apply_edit(live: &mut LiveValidator<'_, '_>, e: &EditRecipe) -> Option<ReportDiff> {
+fn apply_edit(live: &mut LiveValidator<'_, '_>, e: &EditRecipe) -> Option<EditOutcome> {
     let ids: Vec<NodeId> = live.tree().node_ids().collect();
     let pick = |sel: u8| ids[sel as usize % ids.len()];
     match e {
@@ -224,15 +224,12 @@ fn apply_edit(live: &mut LiveValidator<'_, '_>, e: &EditRecipe) -> Option<Report
             let value = AttrValue::set(vs.iter().map(|&v| val(v)));
             Some(
                 live.set_attr(node, ATTRS[*a as usize], value)
-                    .expect("live vertex")
-                    .diff,
+                    .expect("live vertex"),
             )
         }
         EditRecipe::RemoveAttr(n, a) => {
             let node = pick(*n);
-            live.remove_attr(node, ATTRS[*a as usize])
-                .ok()
-                .map(|o| o.diff)
+            live.remove_attr(node, ATTRS[*a as usize]).ok()
         }
         EditRecipe::SetText(n, i, v) => {
             let node = pick(*n);
@@ -248,8 +245,7 @@ fn apply_edit(live: &mut LiveValidator<'_, '_>, e: &EditRecipe) -> Option<Report
             }
             Some(
                 live.set_text(node, *i as usize % texts, val(*v))
-                    .expect("text child exists")
-                    .diff,
+                    .expect("text child exists"),
             )
         }
         EditRecipe::Delete(n) => {
@@ -257,7 +253,7 @@ fn apply_edit(live: &mut LiveValidator<'_, '_>, e: &EditRecipe) -> Option<Report
             if node == live.tree().root() {
                 return None;
             }
-            Some(live.delete_subtree(node).expect("non-root vertex").diff)
+            Some(live.delete_subtree(node).expect("non-root vertex"))
         }
         EditRecipe::Insert(n, p, recipe) => {
             let parent = pick(*n);
@@ -265,8 +261,7 @@ fn apply_edit(live: &mut LiveValidator<'_, '_>, e: &EditRecipe) -> Option<Report
             let pos = *p as usize % (len + 1);
             Some(
                 live.insert_subtree(parent, pos, &build_fragment(recipe))
-                    .expect("position in range")
-                    .diff,
+                    .expect("position in range"),
             )
         }
     }
@@ -356,6 +351,24 @@ fn apply_resolved(live: &mut LiveValidator<'_, '_>, b: &BatchEdit) {
     }
 }
 
+/// The delta [`DataTree`]'s own mutator returns for a resolved request.
+fn tree_delta(tree: &mut DataTree, b: &BatchEdit) -> Edit {
+    match b {
+        BatchEdit::SetAttr { node, attr, value } => {
+            tree.set_attr(*node, attr.clone(), value.clone())
+        }
+        BatchEdit::RemoveAttr { node, attr } => tree.remove_attr(*node, attr),
+        BatchEdit::SetText { node, index, text } => tree.set_text(*node, *index, text.clone()),
+        BatchEdit::InsertSubtree {
+            parent,
+            position,
+            fragment,
+        } => tree.insert_subtree(*parent, *position, fragment),
+        BatchEdit::DeleteSubtree { node } => tree.delete_subtree(*node),
+    }
+    .expect("resolved against this state")
+}
+
 /// Violation multiset as Debug-string counts (zero entries pruned).
 fn counts(vs: &[Violation]) -> std::collections::BTreeMap<String, i64> {
     let mut m = std::collections::BTreeMap::new();
@@ -386,7 +399,16 @@ proptest! {
             );
             for e in &edits {
                 let before = live.report().violations;
-                let Some(diff) = apply_edit(&mut live, e) else { continue };
+                let mut shadow = live.tree().clone();
+                let expected = resolve_edit(&live, e).map(|b| tree_delta(&mut shadow, &b));
+                let Some(outcome) = apply_edit(&mut live, e) else { continue };
+                // The returned delta is the one the tree's own mutator
+                // reports for the same edit on the pre-edit tree.
+                prop_assert_eq!(
+                    Some(&outcome.edit), expected.as_ref(),
+                    "edit delta diverged (strict={}, edit={:?})", strict, e
+                );
+                let diff = outcome.diff;
                 let after = live.report().violations;
                 let scratch = v.validate(live.tree()).violations;
                 prop_assert_eq!(
