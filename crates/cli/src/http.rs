@@ -7,7 +7,9 @@
 //! instead of being reimplemented by the server loop and every test or
 //! benchmark client. No chunked encoding, no HTTP/2: `Content-Length`
 //! framing is what lets a worker serve many requests per connection
-//! without ever guessing where a body ends.
+//! without ever guessing where a body ends. A request whose framing the
+//! dialect cannot know — any `Transfer-Encoding`, or `Content-Length`
+//! headers that disagree — is refused, never guessed at.
 //!
 //! The server side is [`read_request`] + [`write_response`]; the client
 //! side is [`HttpClient`], a keep-alive connection that frames requests
@@ -43,8 +45,14 @@ pub enum HttpError {
     /// connection should be dropped so the worker is freed.
     Timeout,
     /// The request is syntactically broken (bad request line, bad
-    /// header, bad `Content-Length`, non-UTF-8 body). Answer `400`.
+    /// header, bad or conflicting `Content-Length`, non-UTF-8 body).
+    /// Answer `400`.
     Malformed(String),
+    /// The request uses a framing this dialect does not implement (any
+    /// `Transfer-Encoding`). Answer `501` and close: the body's extent
+    /// is unknown, so nothing after the headers can be trusted as the
+    /// next request.
+    NotImplemented(String),
     /// `Content-Length` exceeds the server's body limit. Answer `413`
     /// and close (the body was not read).
     TooLarge {
@@ -62,7 +70,7 @@ impl std::fmt::Display for HttpError {
         match self {
             HttpError::Closed => write!(f, "connection closed"),
             HttpError::Timeout => write!(f, "read timed out"),
-            HttpError::Malformed(m) => write!(f, "{m}"),
+            HttpError::Malformed(m) | HttpError::NotImplemented(m) => write!(f, "{m}"),
             HttpError::TooLarge { declared, limit } => {
                 write!(f, "body of {declared} bytes exceeds the {limit}-byte limit")
             }
@@ -81,10 +89,12 @@ fn io_error(e: std::io::Error) -> HttpError {
 }
 
 /// Reads one framed HTTP/1.1 request from `reader`: request line,
-/// headers (`Content-Length` and `Connection` are interpreted, the rest
-/// skipped), then exactly `Content-Length` body bytes. Bodies above
-/// `max_body` are rejected *before* being read, so an oversized upload
-/// costs the server nothing but the header scan.
+/// headers (`Content-Length`, `Transfer-Encoding` and `Connection` are
+/// interpreted, the rest skipped), then exactly `Content-Length` body
+/// bytes. Bodies above `max_body` are rejected *before* being read, so an
+/// oversized upload costs the server nothing but the header scan; so are
+/// requests with a `Transfer-Encoding` or with conflicting
+/// `Content-Length` headers, whose body extent is unknown.
 pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Request, HttpError> {
     let mut line = String::new();
     let n = reader.read_line(&mut line).map_err(io_error)?;
@@ -106,7 +116,8 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Reque
         )));
     }
     let (method, path) = (method.to_string(), path.to_string());
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
+    let mut transfer_encoding: Option<String> = None;
     let mut keep_alive = true;
     loop {
         let mut header = String::new();
@@ -122,14 +133,28 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Reque
             return Err(HttpError::Malformed(format!("malformed header {header:?}")));
         };
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
+            let n = value
                 .trim()
                 .parse()
                 .map_err(|_| HttpError::Malformed(format!("bad Content-Length {value:?}")))?;
+            if content_length.is_some_and(|m| m != n) {
+                return Err(HttpError::Malformed(
+                    "conflicting Content-Length headers".into(),
+                ));
+            }
+            content_length = Some(n);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            transfer_encoding = Some(value.trim().to_string());
         } else if name.eq_ignore_ascii_case("connection") {
             keep_alive = !value.trim().eq_ignore_ascii_case("close");
         }
     }
+    if let Some(te) = transfer_encoding {
+        return Err(HttpError::NotImplemented(format!(
+            "Transfer-Encoding {te:?} is not supported; send a Content-Length body"
+        )));
+    }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Err(HttpError::TooLarge {
             declared: content_length,
@@ -305,6 +330,32 @@ mod tests {
             parse("POST /x HTTP/1.1\r\nContent-Length: 99\r\n\r\nshort", 1024),
             Err(HttpError::Malformed(_))
         ));
+        // Disagreeing Content-Length headers leave the body's extent
+        // unknown; agreeing repeats are harmless.
+        assert!(matches!(
+            parse(
+                "POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 5\r\n\r\nhello",
+                1024
+            ),
+            Err(HttpError::Malformed(_))
+        ));
+        let r = parse(
+            "POST /x HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nhello",
+            1024,
+        )
+        .unwrap();
+        assert_eq!(r.body, "hello");
+        // Any Transfer-Encoding is refused, with or without a
+        // Content-Length beside it.
+        for te in [
+            "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+            "POST /x HTTP/1.1\r\nContent-Length: 5\r\ntransfer-encoding: gzip, chunked\r\n\r\nhello",
+        ] {
+            assert!(
+                matches!(parse(te, 1024), Err(HttpError::NotImplemented(_))),
+                "{te:?}"
+            );
+        }
     }
 
     #[test]

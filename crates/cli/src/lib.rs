@@ -467,14 +467,6 @@ fn cmd_validate(o: &Opts, out: &mut String) -> Result<i32, String> {
         return Err("validate takes exactly one document".into());
     };
     let src = read(doc_path)?;
-    let mut options = if o.lenient {
-        Options::lenient()
-    } else {
-        Options::default()
-    };
-    if let Some(threads) = o.threads {
-        options = options.with_threads(threads);
-    }
     let setup = obs_setup(o);
     let obs = setup.obs.clone();
     let report = if o.no_stream {
@@ -486,9 +478,7 @@ fn cmd_validate(o: &Opts, out: &mut String) -> Result<i32, String> {
             parse_document(&src).map_err(|e| e.to_string())?
         };
         let dtdc = load_dtdc(o, doc.dtd.as_ref(), true)?;
-        let validator =
-            Validator::with_matcher(&dtdc, MatcherKind::Dfa, options).with_obs(obs.clone());
-        validator.validate(&doc.tree)
+        validator(o, &dtdc, &obs).validate(&doc.tree)
     } else {
         // Default path: one bounded-memory pass — the document is never
         // built as a tree. The DTD is pulled from the prolog before the
@@ -497,9 +487,7 @@ fn cmd_validate(o: &Opts, out: &mut String) -> Result<i32, String> {
         let mut events = parse_events(&src);
         let doc_dtd = events.dtd().map_err(|e| e.to_string())?.cloned();
         let dtdc = load_dtdc(o, doc_dtd.as_ref(), true)?;
-        let validator =
-            Validator::with_matcher(&dtdc, MatcherKind::Dfa, options).with_obs(obs.clone());
-        validator
+        validator(o, &dtdc, &obs)
             .validate_events(events)
             .map_err(|e| e.to_string())?
     };
@@ -691,15 +679,7 @@ fn cmd_apply_edits(o: &Opts, out: &mut String) -> Result<i32, String> {
         parse_document(&read(doc_path)?).map_err(|e| e.to_string())?
     };
     let dtdc = load_dtdc(o, doc.dtd.as_ref(), true)?;
-    let mut options = if o.lenient {
-        Options::lenient()
-    } else {
-        Options::default()
-    };
-    if let Some(threads) = o.threads {
-        options = options.with_threads(threads);
-    }
-    let validator = Validator::with_matcher(&dtdc, MatcherKind::Dfa, options).with_obs(obs.clone());
+    let validator = validator(o, &dtdc, &obs);
     let mut live = LiveValidator::new(&validator, doc.tree);
     let script = read(script_path)?;
     parse_script(&script)
@@ -712,8 +692,9 @@ fn cmd_apply_edits(o: &Opts, out: &mut String) -> Result<i32, String> {
     Ok(if report.is_valid() { 0 } else { 1 })
 }
 
-/// The validator options shared by every live-validator command.
-fn live_options(o: &Opts) -> Options {
+/// The validator every command and every serve shard runs: the DFA
+/// matcher, `--lenient` and `--threads` applied, reporting to `obs`.
+pub(crate) fn validator<'a>(o: &Opts, dtdc: &'a DtdC, obs: &Obs) -> Validator<'a> {
     let mut options = if o.lenient {
         Options::lenient()
     } else {
@@ -722,7 +703,7 @@ fn live_options(o: &Opts) -> Options {
     if let Some(threads) = o.threads {
         options = options.with_threads(threads);
     }
-    options
+    Validator::with_matcher(dtdc, MatcherKind::Dfa, options).with_obs(obs.clone())
 }
 
 fn cmd_snapshot(o: &Opts, out: &mut String) -> Result<i32, String> {
@@ -738,8 +719,7 @@ fn cmd_snapshot(o: &Opts, out: &mut String) -> Result<i32, String> {
         parse_document(&read(doc_path)?).map_err(|e| e.to_string())?
     };
     let dtdc = load_dtdc(o, doc.dtd.as_ref(), true)?;
-    let validator =
-        Validator::with_matcher(&dtdc, MatcherKind::Dfa, live_options(o)).with_obs(obs.clone());
+    let validator = validator(o, &dtdc, &obs);
     let live = LiveValidator::new(&validator, doc.tree);
     {
         let _span = obs.span("snapshot.write");
@@ -767,8 +747,7 @@ fn cmd_recover(o: &Opts, out: &mut String) -> Result<i32, String> {
     let setup = obs_setup(o);
     let obs = setup.obs.clone();
     let (dtdc, recovered) = durable::load_doc(o, &store, id)?;
-    let validator =
-        Validator::with_matcher(&dtdc, MatcherKind::Dfa, live_options(o)).with_obs(obs.clone());
+    let validator = validator(o, &dtdc, &obs);
     let replayed = recovered.batches.len();
     let live = {
         let _span = obs.span("recover.replay");

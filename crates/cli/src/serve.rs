@@ -11,8 +11,9 @@
 //!    [`crate::http`]), so one connection serves many requests. A
 //!    per-connection read timeout (`--timeout`) frees a worker from a
 //!    stalled client; oversized bodies are refused with `413` before
-//!    being read (`--max-body`); malformed request lines and headers get
-//!    a `400`, never a silently dropped connection.
+//!    being read (`--max-body`); malformed request lines and headers
+//!    (conflicting `Content-Length`s included) get a `400`, and any
+//!    `Transfer-Encoding` a `501`, never a silently dropped connection.
 //! 2. **A document store.** Documents are keyed by id: `PUT /docs/{id}`
 //!    ingests an XML document (its internal `<!DOCTYPE>` subset, or the
 //!    server's `--dtd/--root`, supplies the structure; `--sigma` the
@@ -102,7 +103,7 @@ use xic::obs::{Collector, DEFAULT_TRACE_CAPACITY};
 use xic::prelude::*;
 
 use crate::http::{self, HttpError, Request};
-use crate::{durable, load_dtdc, parse_opts, parse_script, read, run_edit_script, Opts};
+use crate::{durable, load_dtdc, parse_opts, parse_script, read, run_edit_script, validator, Opts};
 
 /// The address `xic serve` binds when `--addr` is absent.
 const DEFAULT_ADDR: &str = "127.0.0.1:9100";
@@ -443,6 +444,18 @@ fn serve_connection(store: &Store, item: WorkItem) {
                 let _ = http::write_response(
                     &mut writer,
                     "400 Bad Request",
+                    "text/plain; charset=utf-8",
+                    &format!("error: {m}\n"),
+                    false,
+                );
+                return;
+            }
+            Err(HttpError::NotImplemented(m)) => {
+                // The body's extent is unknown: answer, then close rather
+                // than parse the body bytes as the next request.
+                let _ = http::write_response(
+                    &mut writer,
+                    "501 Not Implemented",
                     "text/plain; charset=utf-8",
                     &format!("error: {m}\n"),
                     false,
@@ -1145,15 +1158,7 @@ fn run_doc_shard(
             }
         }
     };
-    let mut options = if opts.lenient {
-        Options::lenient()
-    } else {
-        Options::default()
-    };
-    if let Some(threads) = opts.threads {
-        options = options.with_threads(threads);
-    }
-    let validator = Validator::with_matcher(&dtdc, MatcherKind::Dfa, options).with_obs(obs.clone());
+    let validator = validator(opts, &dtdc, &obs);
     let (mut live, mut sdisk) = match start {
         Start::Cold(tree) => {
             let live = LiveValidator::new(&validator, tree);
@@ -1697,6 +1702,38 @@ ref.to <=s entry.isbn";
             // Small bodies still fit under the 64-byte cap.
             let (status, _) = http(addr, "GET", "/report", "");
             assert_eq!(status, 200);
+        });
+    }
+
+    #[test]
+    fn chunked_bodies_are_refused_and_never_routed() {
+        with_daemon(GOOD_DOC, &[], |addr| {
+            let (_, before) = http(addr, "GET", "/docs/default/report", "");
+            // Read as Content-Length framing, this POST has an empty body
+            // and its "chunk" is the next request on the connection: a
+            // DELETE of the document. The daemon must answer 501 and
+            // close without parsing it.
+            use std::io::{Read, Write};
+            let smuggled = "DELETE /docs/default HTTP/1.1\r\nContent-Length: 0\r\n\r\n";
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            s.write_all(
+                format!(
+                    "POST /docs/default/edits HTTP/1.1\r\nHost: x\r\n\
+                     Transfer-Encoding: chunked\r\n\r\n{smuggled}"
+                )
+                .as_bytes(),
+            )
+            .unwrap();
+            let mut resp = String::new();
+            s.read_to_string(&mut resp).unwrap();
+            assert!(resp.starts_with("HTTP/1.1 501 Not Implemented"), "{resp}");
+            assert_eq!(resp.matches("HTTP/1.1 ").count(), 1, "{resp}");
+            assert!(resp.contains("Connection: close"), "{resp}");
+            let (status, ids) = http(addr, "GET", "/docs", "");
+            assert_eq!((status, ids.as_str()), (200, "default\n"));
+            let (_, after) = http(addr, "GET", "/docs/default/report", "");
+            assert_eq!(after, before);
         });
     }
 

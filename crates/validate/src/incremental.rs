@@ -47,7 +47,7 @@ use xic_model::{
 use xic_obs::{Metrics, Obs};
 use xic_regex::Symbol;
 
-use crate::plan::{extract_single, CountedSymSet};
+use crate::plan::{extract_columns, extract_set, extract_single, Cell, CountedSymSet, Plan};
 use crate::report::{Report, Violation};
 use crate::structure::Validator;
 
@@ -367,26 +367,34 @@ impl SetCol {
 }
 
 /// The live counterpart of the one-shot `DocIndex`: every planned column as
-/// a mutable map, sharing one interner. Interning order is irrelevant for
-/// report equality — symbols are only compared for equality/membership, and
-/// violations carry resolved strings.
-struct Store {
+/// a mutable map, indexed by the plan's column ids and sharing one
+/// interner. Interning order is irrelevant for report equality — symbols
+/// are only compared for equality/membership, and violations carry
+/// resolved strings.
+struct Store<'p> {
+    plan: &'p Plan,
     interner: Interner,
-    singles: HashMap<(Name, Field), SingleCol>,
-    sets: HashMap<(Name, Name), SetCol>,
+    /// Single-valued columns by column id.
+    singles: Vec<SingleCol>,
+    /// Set-valued columns by [`Plan::set_slot`].
+    sets: Vec<SetCol>,
 }
 
-impl Store {
+impl Store<'_> {
     fn single(&self, tau: &Name, f: &Field) -> &SingleCol {
-        self.singles
-            .get(&(tau.clone(), f.clone()))
-            .expect("plan covers every single field a constraint reads")
+        let col = self
+            .plan
+            .single_id(tau, f)
+            .expect("plan covers every single field a constraint reads");
+        &self.singles[col as usize]
     }
 
     fn set_col(&self, tau: &Name, a: &Name) -> &SetCol {
-        self.sets
-            .get(&(tau.clone(), a.clone()))
-            .expect("plan covers every set attribute a constraint reads")
+        let col = self
+            .plan
+            .set_id(tau, a)
+            .expect("plan covers every set attribute a constraint reads");
+        &self.sets[self.plan.set_slot(col)]
     }
 
     fn resolve(&self, s: Sym) -> &str {
@@ -587,7 +595,7 @@ fn tuple_in(cols: &[&SingleCol], x: u32) -> Option<Vec<Sym>> {
 /// read access to the store and ID table, write access to the part's
 /// violation table, all writes funneled through the diff accumulator.
 struct Ctx<'a> {
-    store: &'a Store,
+    store: &'a Store<'a>,
     ids: &'a IdTable,
     name: &'a str,
     pi: u32,
@@ -1819,7 +1827,7 @@ fn build_parts(dtdc: &DtdC) -> Vec<Part> {
     parts
 }
 
-/// Dense column ids, reverse keys, and per-column part subscriptions,
+/// Per-column part subscriptions, indexed by the plan's column ids and
 /// built once at construction.
 ///
 /// Each part's `apply` drops changes outside its `(τ, field)` interest
@@ -1828,116 +1836,58 @@ fn build_parts(dtdc: &DtdC) -> Vec<Part> {
 /// column; that is behavior-preserving because the skipped `apply` calls
 /// were no-ops by those same match arms. Only vertex-level changes
 /// (`NodeAdded` / `NodeRemoved`, which span every column of a type) still
-/// go to every part.
-struct Subs {
-    /// Planned single-valued column ↦ dense id (`0..singles`).
-    single_ids: HashMap<(Name, Field), u32>,
-    /// Planned set-valued column ↦ dense id (`singles..`).
-    set_ids: HashMap<(Name, Name), u32>,
-    /// Dense column id ↦ the column's key, for re-extraction.
-    keys: Vec<ColKey>,
-    /// Dense column id ↦ subscribed part indices, ascending and deduped.
-    parts_of: Vec<Vec<u32>>,
-}
-
-#[derive(Clone)]
-enum ColKey {
-    Single(Name, Field),
-    Set(Name, Name),
-}
-
-impl Subs {
-    fn build(store: &Store, parts: &[Part], ids: &IdTable) -> Self {
-        let mut single_ids = HashMap::new();
-        let mut set_ids = HashMap::new();
-        let mut keys: Vec<ColKey> = Vec::new();
-        let mut skeys: Vec<_> = store.singles.keys().cloned().collect();
-        skeys.sort();
-        for k in skeys {
-            single_ids.insert(k.clone(), keys.len() as u32);
-            keys.push(ColKey::Single(k.0, k.1));
-        }
-        let mut tkeys: Vec<_> = store.sets.keys().cloned().collect();
-        tkeys.sort();
-        for k in tkeys {
-            set_ids.insert(k.clone(), keys.len() as u32);
-            keys.push(ColKey::Set(k.0, k.1));
-        }
-        let mut parts_of = vec![Vec::new(); keys.len()];
-        for (pi, p) in parts.iter().enumerate() {
-            let pi = pi as u32;
-            let mut singles: Vec<(Name, Field)> = Vec::new();
-            let mut sets: Vec<(Name, Name)> = Vec::new();
-            match &p.kind {
-                PartKind::KeyUnary(k) => {
-                    singles.push((k.tau.clone(), k.field.clone()));
-                }
-                PartKind::Key(k) => {
-                    for f in &k.fields {
-                        singles.push((k.tau.clone(), f.clone()));
-                    }
-                }
-                PartKind::FkSingle(k) => {
-                    singles.push((k.tau.clone(), k.field.clone()));
-                    if let Some(tf) = &k.target_field {
-                        singles.push((k.target.clone(), tf.clone()));
-                    }
-                }
-                PartKind::FkNary(k) => {
-                    for f in &k.fields {
-                        singles.push((k.tau.clone(), f.clone()));
-                    }
-                    for f in &k.target_fields {
-                        singles.push((k.target.clone(), f.clone()));
-                    }
-                }
-                PartKind::SetFk(k) => {
-                    sets.push((k.tau.clone(), k.attr.clone()));
-                    if let Some(tf) = &k.target_field {
-                        singles.push((k.target.clone(), tf.clone()));
-                    }
-                }
-                PartKind::Id(k) => {
-                    // An ID part reacts to *any* type's ID column (a
-                    // carrier change anywhere shifts its duplicate
-                    // lists), not just its own type's.
-                    singles.push((k.tau.clone(), k.id_field.clone()));
-                    for (t, f) in &ids.id_field_of {
-                        singles.push((t.clone(), f.clone()));
-                    }
-                }
-                PartKind::Inverse(k) => {
-                    singles.push((k.tau.clone(), k.key.clone()));
-                    singles.push((k.target.clone(), k.target_key.clone()));
-                    sets.push((k.tau.clone(), k.attr.clone()));
-                    sets.push((k.target.clone(), k.target_attr.clone()));
-                }
+/// go to every part. Each list is ascending and deduped.
+fn subscriptions(plan: &Plan, parts: &[Part], ids: &IdTable) -> Vec<Vec<u32>> {
+    let mut parts_of = vec![Vec::new(); plan.column_count()];
+    for (pi, p) in parts.iter().enumerate() {
+        let pi = pi as u32;
+        let mut singles: Vec<(&Name, &Field)> = Vec::new();
+        let mut sets: Vec<(&Name, &Name)> = Vec::new();
+        match &p.kind {
+            PartKind::KeyUnary(k) => singles.push((&k.tau, &k.field)),
+            PartKind::Key(k) => singles.extend(k.fields.iter().map(|f| (&k.tau, f))),
+            PartKind::FkSingle(k) => {
+                singles.push((&k.tau, &k.field));
+                singles.extend(k.target_field.iter().map(|tf| (&k.target, tf)));
             }
-            // An interest column missing from the store cannot exist in
-            // any delta (the plan covers every column a constraint
-            // reads), so skipping it drops nothing.
-            for key in singles {
-                if let Some(&c) = single_ids.get(&key) {
-                    parts_of[c as usize].push(pi);
-                }
+            PartKind::FkNary(k) => {
+                singles.extend(k.fields.iter().map(|f| (&k.tau, f)));
+                singles.extend(k.target_fields.iter().map(|f| (&k.target, f)));
             }
-            for key in sets {
-                if let Some(&c) = set_ids.get(&key) {
-                    parts_of[c as usize].push(pi);
-                }
+            PartKind::SetFk(k) => {
+                sets.push((&k.tau, &k.attr));
+                singles.extend(k.target_field.iter().map(|tf| (&k.target, tf)));
+            }
+            PartKind::Id(k) => {
+                // An ID part reacts to *any* type's ID column (a carrier
+                // change anywhere shifts its duplicate lists), not just
+                // its own type's.
+                singles.push((&k.tau, &k.id_field));
+                singles.extend(ids.id_field_of.iter());
+            }
+            PartKind::Inverse(k) => {
+                singles.push((&k.tau, &k.key));
+                singles.push((&k.target, &k.target_key));
+                sets.push((&k.tau, &k.attr));
+                sets.push((&k.target, &k.target_attr));
             }
         }
-        for l in &mut parts_of {
-            l.sort_unstable();
-            l.dedup();
-        }
-        Subs {
-            single_ids,
-            set_ids,
-            keys,
-            parts_of,
+        // An interest column missing from the plan cannot exist in any
+        // delta (the plan covers every column a constraint reads), so
+        // skipping it drops nothing.
+        let cols = singles
+            .into_iter()
+            .filter_map(|(tau, f)| plan.single_id(tau, f))
+            .chain(sets.into_iter().filter_map(|(tau, a)| plan.set_id(tau, a)));
+        for c in cols {
+            parts_of[c as usize].push(pi);
         }
     }
+    for l in &mut parts_of {
+        l.sort_unstable();
+        l.dedup();
+    }
+    parts_of
 }
 
 /// One edit request: an element of a [`LiveValidator::apply_batch`] batch,
@@ -2058,8 +2008,19 @@ struct BatchState {
 
 /// One planned column's dense values, before its occurrence map is built.
 enum RawVals {
-    Single((Name, Field), Vec<Option<Sym>>),
-    Set((Name, Name), Vec<Vec<Sym>>),
+    Single(Vec<Option<Sym>>),
+    Set(Vec<Vec<Sym>>),
+}
+
+/// One planned column's dense values with its `(value, vertex)` pairs,
+/// ascending by vertex.
+type RawCol = (RawVals, Vec<(Sym, u32)>);
+
+/// Whether `stored` holds each `planned` key exactly once (in any order).
+fn same_keys<K: Ord, V>(stored: &[(K, V)], planned: &[K]) -> bool {
+    let mut got: Vec<&K> = stored.iter().map(|(k, _)| k).collect();
+    got.sort();
+    got.into_iter().eq(planned)
 }
 
 /// One single-valued column of a [`LiveState`]: the `(element type,
@@ -2181,10 +2142,11 @@ impl std::error::Error for StateError {}
 pub struct LiveValidator<'v, 'd> {
     v: &'v Validator<'d>,
     tree: DataTree,
-    store: Store,
+    store: Store<'v>,
     ids: IdTable,
     parts: Vec<Part>,
-    subs: Subs,
+    /// Column id ↦ subscribed part indices (see [`subscriptions`]).
+    parts_of: Vec<Vec<u32>>,
     /// Vertex ↦ its structural violations (absent = none), in vertex order.
     struct_viols: BTreeMap<u32, Vec<Violation>>,
     /// The root-label violation, if any (immutable: the root cannot be
@@ -2204,57 +2166,41 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
     pub fn new(v: &'v Validator<'d>, tree: DataTree) -> Self {
         let _init = v.obs.span("live.init");
         let idx = ExtIndex::build(&tree);
+        let plan = &v.plan;
         let mut interner = Interner::new();
         // Extraction interns through the one shared interner and stays
         // sequential; everything downstream of it is per-column
         // independent and fans out over the same thread budget the
         // one-shot engine's check phase uses.
         let bound = tree.id_bound();
-        let mut raw: Vec<(RawVals, Vec<(Sym, u32)>)> = Vec::new();
-        for (tau, fields) in &v.plan.singles {
-            let ext = idx.ext(tau);
-            // One extent walk extracts every planned field of τ: the
-            // vertex's node record and attribute list stay hot across
-            // fields instead of being re-fetched once per column.
-            type SingleCol = (Vec<Option<Sym>>, Vec<(Sym, u32)>);
-            let mut cols: Vec<SingleCol> = fields
-                .iter()
-                .map(|_| (vec![None; bound], Vec::with_capacity(ext.len())))
-                .collect();
-            for &x in ext {
-                let xi = x.index() as u32;
-                for (col, field) in cols.iter_mut().zip(fields) {
-                    let val = extract_single(&tree, x, field, &mut interner);
-                    col.0[xi as usize] = val;
+        let singles = plan.single_keys.iter().map(|(tau, _)| {
+            let pairs = Vec::with_capacity(idx.ext(tau).len());
+            (RawVals::Single(vec![None; bound]), pairs)
+        });
+        let sets = plan.set_keys.iter().map(|_| {
+            let rows = (0..bound).map(|_| Vec::new()).collect();
+            (RawVals::Set(rows), Vec::new())
+        });
+        let mut raw: Vec<RawCol> = singles.chain(sets).collect();
+        extract_columns(&tree, &idx, plan, &mut interner, |col, x, cell| {
+            let (vals, pairs) = &mut raw[col as usize];
+            let xi = x.index() as u32;
+            match (vals, cell) {
+                (RawVals::Single(vals), Cell::Single(val)) => {
+                    vals[xi as usize] = val;
                     if let Some(sym) = val {
-                        col.1.push((sym, xi));
+                        pairs.push((sym, xi));
                     }
                 }
-            }
-            for ((vals, pairs), field) in cols.into_iter().zip(fields) {
-                raw.push((RawVals::Single((tau.clone(), field.clone()), vals), pairs));
-            }
-        }
-        for (tau, attrs) in &v.plan.sets {
-            let ext = idx.ext(tau);
-            for attr in attrs {
-                let mut vals: Vec<Vec<Sym>> = Vec::new();
-                vals.resize_with(bound, Vec::new);
-                let mut pairs: Vec<(Sym, u32)> = Vec::new();
-                for &x in ext {
-                    let xi = x.index() as u32;
-                    let members: Vec<Sym> = match tree.attr(x, attr) {
-                        Some(val) => val.values().iter().map(|s| interner.intern(s)).collect(),
-                        None => Vec::new(),
-                    };
-                    for &m in &members {
+                (RawVals::Set(vals), Cell::Set(members)) => {
+                    for &m in members.iter() {
                         pairs.push((m, xi));
                     }
-                    vals[xi as usize] = members;
+                    vals[xi as usize] = std::mem::take(members);
                 }
-                raw.push((RawVals::Set((tau.clone(), attr.clone()), vals), pairs));
+                _ => unreachable!("a column's cells all have the column's kind"),
             }
-        }
+        });
         Self::assemble(
             v,
             tree,
@@ -2291,8 +2237,8 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
             tree,
             interner_arena,
             interner_spans,
-            singles,
-            sets,
+            mut singles,
+            mut sets,
             struct_viols,
         } = state;
 
@@ -2304,37 +2250,24 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         // The snapshot must cover the plan exactly: a missing column would
         // panic on first read, and an extra one means the snapshot was
         // taken under a different schema or constraint set.
-        let want: BTreeSet<(Name, Field)> = v
-            .plan
-            .singles
-            .iter()
-            .flat_map(|(tau, fs)| fs.iter().map(move |f| (tau.clone(), f.clone())))
-            .collect();
-        let got: BTreeSet<(Name, Field)> = singles.iter().map(|(k, _)| k.clone()).collect();
-        if got != want || got.len() != singles.len() {
+        let plan = &v.plan;
+        if !same_keys(&singles, &plan.single_keys) {
             return Err(StateError {
                 detail: format!(
                     "single columns do not match the constraint plan \
                      ({} stored, {} planned)",
                     singles.len(),
-                    want.len()
+                    plan.single_keys.len()
                 ),
             });
         }
-        let want: BTreeSet<(Name, Name)> = v
-            .plan
-            .sets
-            .iter()
-            .flat_map(|(tau, attrs)| attrs.iter().map(move |a| (tau.clone(), a.clone())))
-            .collect();
-        let got: BTreeSet<(Name, Name)> = sets.iter().map(|(k, _)| k.clone()).collect();
-        if got != want || got.len() != sets.len() {
+        if !same_keys(&sets, &plan.set_keys) {
             return Err(StateError {
                 detail: format!(
                     "set columns do not match the constraint plan \
                      ({} stored, {} planned)",
                     sets.len(),
-                    want.len()
+                    plan.set_keys.len()
                 ),
             });
         }
@@ -2400,30 +2333,28 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         }
 
         let idx = ExtIndex::build(&tree);
-        // Occurrence maps are regrouped exactly as bulk init groups them:
-        // pairs ascend by vertex (extraction walked extents in ascending
-        // id order, and dense cells are revisited the same way), and the
-        // counting sort is stable, so `Holders` runs come out identical.
-        let mut raw: Vec<(RawVals, Vec<(Sym, u32)>)> =
-            Vec::with_capacity(singles.len() + sets.len());
-        for (key, vals) in singles {
-            let mut pairs = Vec::new();
-            for (xi, cell) in vals.iter().enumerate() {
-                if let Some(sym) = cell {
-                    pairs.push((*sym, xi as u32));
-                }
-            }
-            raw.push((RawVals::Single(key, vals), pairs));
-        }
-        for (key, vals) in sets {
-            let mut pairs = Vec::new();
-            for (xi, members) in vals.iter().enumerate() {
-                for &m in members {
-                    pairs.push((m, xi as u32));
-                }
-            }
-            raw.push((RawVals::Set(key, vals), pairs));
-        }
+        // Columns take their plan ids by key order. Occurrence maps are
+        // regrouped exactly as bulk init groups them: pairs ascend by
+        // vertex (extraction walked extents in ascending id order, and
+        // dense cells are revisited the same way), and the counting sort
+        // is stable, so `Holders` runs come out identical.
+        singles.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        sets.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let singles = singles.into_iter().map(|(_, vals)| {
+            let pairs: Vec<_> = (0u32..)
+                .zip(&vals)
+                .filter_map(|(xi, c)| Some(((*c)?, xi)))
+                .collect();
+            (RawVals::Single(vals), pairs)
+        });
+        let sets = sets.into_iter().map(|(_, vals)| {
+            let pairs: Vec<_> = (0u32..)
+                .zip(&vals)
+                .flat_map(|(xi, ms)| ms.iter().map(move |&m| (m, xi)))
+                .collect();
+            (RawVals::Set(vals), pairs)
+        });
+        let raw = singles.chain(sets).collect();
         let struct_viols = struct_viols.into_iter().collect();
         Ok(Self::assemble(
             v,
@@ -2449,7 +2380,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         tree: DataTree,
         idx: &ExtIndex,
         interner: Interner,
-        raw: Vec<(RawVals, Vec<(Sym, u32)>)>,
+        raw: Vec<RawCol>,
         struct_viols: Option<BTreeMap<u32, Vec<Violation>>>,
         [col_span, part_span]: [&'static str; 2],
     ) -> Self {
@@ -2459,21 +2390,18 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
             .min(v.effective_threads());
         let nsym = interner.len();
         let mut store = Store {
+            plan: &v.plan,
             interner,
-            singles: HashMap::new(),
-            sets: HashMap::new(),
+            singles: Vec::new(),
+            sets: Vec::new(),
         };
         let built = crate::par::fan_out(threads, raw, &v.obs, col_span, |(rv, pairs)| {
             (rv, build_occ(&pairs, nsym))
         });
         for (rv, occ) in built {
             match rv {
-                RawVals::Single(key, vals) => {
-                    store.singles.insert(key, SingleCol { vals, occ });
-                }
-                RawVals::Set(key, vals) => {
-                    store.sets.insert(key, SetCol { vals, occ });
-                }
+                RawVals::Single(vals) => store.singles.push(SingleCol { vals, occ }),
+                RawVals::Set(vals) => store.sets.push(SetCol { vals, occ }),
             }
         }
 
@@ -2493,9 +2421,10 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                 carriers,
             } = &mut ids;
             for (tau, f) in id_field_of.iter() {
-                let Some(col) = store.singles.get(&(tau.clone(), f.clone())) else {
+                let Some(col) = v.plan.single_id(tau, f) else {
                     continue;
                 };
+                let col = &store.singles[col as usize];
                 let rank = ranks[tau];
                 for &x in idx.ext(tau) {
                     let xi = x.index() as u32;
@@ -2542,7 +2471,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         crate::par::fan_out(threads, items, &v.obs, part_span, |(pi, p)| {
             p.init(idx, &store, &ids, pi);
         });
-        let subs = Subs::build(&store, &parts, &ids);
+        let parts_of = subscriptions(&v.plan, &parts, &ids);
 
         LiveValidator {
             v,
@@ -2550,7 +2479,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
             store,
             ids,
             parts,
-            subs,
+            parts_of,
             struct_viols,
             root_viol,
         }
@@ -2561,26 +2490,23 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
     /// in ascending key order, exactly as [`LiveValidator::export_state`]
     /// lays them out.
     pub fn state_view(&self) -> LiveStateView<'_> {
-        let mut singles: Vec<_> = self
-            .store
-            .singles
-            .iter()
-            .map(|(k, col)| (k, &col.vals[..]))
-            .collect();
-        singles.sort_by(|a, b| a.0.cmp(b.0));
-        let mut sets: Vec<_> = self
-            .store
-            .sets
-            .iter()
-            .map(|(k, col)| (k, &col.vals[..]))
-            .collect();
-        sets.sort_by(|a, b| a.0.cmp(b.0));
+        let plan = &self.v.plan;
         LiveStateView {
             tree: &self.tree,
             interner_arena: self.store.interner.arena(),
             interner_spans: self.store.interner.spans(),
-            singles,
-            sets,
+            singles: plan
+                .single_keys
+                .iter()
+                .zip(&self.store.singles)
+                .map(|(k, col)| (k, &col.vals[..]))
+                .collect(),
+            sets: plan
+                .set_keys
+                .iter()
+                .zip(&self.store.sets)
+                .map(|(k, col)| (k, &col.vals[..]))
+                .collect(),
             struct_viols: self
                 .struct_viols
                 .iter()
@@ -2815,30 +2741,24 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
 
     /// Records both cells attribute `l` of `node` can feed.
     fn touch_attr_cells(&self, node: NodeId, l: &Name, st: &mut BatchState) {
-        let tau = self.tree.label(node);
+        let Some(tc) = self.v.plan.tau(self.tree.label(node)) else {
+            return;
+        };
         let xi = node.index() as u32;
-        if let Some(&c) = self
-            .subs
-            .single_ids
-            .get(&(tau.clone(), Field::Attr(l.clone())))
-        {
-            st.touched.push((c, xi));
-        }
-        if let Some(&c) = self.subs.set_ids.get(&(tau.clone(), l.clone())) {
-            st.touched.push((c, xi));
-        }
+        let singles = tc.attr_singles().iter().filter(|(f, _)| f.name() == l);
+        let sets = tc.sets.iter().filter(|(a, _)| a == l);
+        let cols = singles.map(|&(_, c)| c).chain(sets.map(|&(_, c)| c));
+        st.touched.extend(cols.map(|c| (c, xi)));
     }
 
     /// Records the parent-side `Sub(e)` cell a child-word change can feed.
     fn touch_sub_cell(&self, parent: NodeId, e: &Name, st: &mut BatchState) {
-        let ptau = self.tree.label(parent);
-        if let Some(&c) = self
-            .subs
-            .single_ids
-            .get(&(ptau.clone(), Field::Sub(e.clone())))
-        {
-            st.touched.push((c, parent.index() as u32));
-        }
+        let Some(tc) = self.v.plan.tau(self.tree.label(parent)) else {
+            return;
+        };
+        let xi = parent.index() as u32;
+        let subs = tc.sub_singles().iter().filter(|(f, _)| f.name() == e);
+        st.touched.extend(subs.map(|&(_, c)| (c, xi)));
     }
 
     /// Stages one batch request: validates it against the current staged
@@ -3079,28 +2999,24 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         // slot sees every final value.
         touched.sort_unstable();
         touched.dedup();
+        let plan = &self.v.plan;
         let mut i = 0;
         while i < touched.len() {
             let col = touched[i].0;
             let mut j = i;
-            match self.subs.keys[col as usize].clone() {
-                ColKey::Single(tau, field) => {
+            match plan.single_keys.get(col as usize) {
+                Some((tau, field)) => {
                     let mut changes: Vec<(u32, Option<Sym>, Option<Sym>)> = Vec::new();
                     {
                         let Self { tree, store, .. } = &mut *self;
-                        let Store {
-                            interner, singles, ..
-                        } = store;
-                        let cmap = singles
-                            .get_mut(&(tau.clone(), field.clone()))
-                            .expect("touched columns come from the subscription index");
+                        let cmap = &mut store.singles[col as usize];
                         while j < touched.len() && touched[j].0 == col {
                             let xi = touched[j].1;
                             j += 1;
                             if xi >= pre_bound || !tree.is_alive(nid(xi)) {
                                 continue;
                             }
-                            let new = extract_single(tree, nid(xi), &field, interner);
+                            let new = extract_single(tree, nid(xi), field, &mut store.interner);
                             let old = cmap.set(xi, new);
                             if old != new {
                                 changes.push((xi, old, new));
@@ -3121,28 +3037,22 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                         );
                     }
                 }
-                ColKey::Set(tau, attr) => {
+                None => {
+                    let (tau, attr) = &plan.set_keys[plan.set_slot(col)];
                     let mut changes: Vec<u32> = Vec::new();
                     {
                         let Self { tree, store, .. } = &mut *self;
-                        let Store { interner, sets, .. } = store;
-                        let cmap = sets
-                            .get_mut(&(tau.clone(), attr.clone()))
-                            .expect("touched columns come from the subscription index");
+                        let cmap = &mut store.sets[plan.set_slot(col)];
                         while j < touched.len() && touched[j].0 == col {
                             let xi = touched[j].1;
                             j += 1;
                             if xi >= pre_bound || !tree.is_alive(nid(xi)) {
                                 continue;
                             }
-                            let new: Vec<Sym> = match tree.attr(nid(xi), &attr) {
-                                Some(val) => {
-                                    val.values().iter().map(|s| interner.intern(s)).collect()
-                                }
-                                None => Vec::new(),
-                            };
-                            let old = cmap.set(xi, new.clone());
-                            if old != new {
+                            let mut new = Vec::new();
+                            extract_set(tree, nid(xi), attr, &mut store.interner, &mut new);
+                            let old = cmap.set(xi, new);
+                            if old != cmap.get(xi) {
                                 changes.push(xi);
                             }
                         }
@@ -3182,11 +3092,11 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
             parts,
             store,
             ids,
-            subs,
+            parts_of,
             ..
         } = self;
         ids.apply(&change, store);
-        for &pi in &subs.parts_of[col as usize] {
+        for &pi in &parts_of[col as usize] {
             parts[pi as usize].apply(&change, store, ids, pi, acc);
         }
     }
@@ -3205,63 +3115,36 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
     /// Fills a freshly inserted vertex's planned columns from the tree
     /// (no change dispatch — `NodeAdded` announces it afterwards).
     fn fill_node(&mut self, x: NodeId) {
-        let v = self.v;
-        let tau = self.tree.label(x).clone();
+        let plan = &self.v.plan;
+        let Some(tc) = plan.tau(self.tree.label(x)) else {
+            return;
+        };
         let xi = x.index() as u32;
         let Self { tree, store, .. } = &mut *self;
-        if let Some(fields) = v.plan.singles.get(&tau) {
-            for f in fields {
-                let val = extract_single(tree, x, f, &mut store.interner);
-                store
-                    .singles
-                    .get_mut(&(tau.clone(), f.clone()))
-                    .expect("plan column built at construction")
-                    .set(xi, val);
-            }
+        for (f, col) in &tc.singles {
+            let val = extract_single(tree, x, f, &mut store.interner);
+            store.singles[*col as usize].set(xi, val);
         }
-        if let Some(attrs) = v.plan.sets.get(&tau) {
-            for a in attrs {
-                let members: Vec<Sym> = match tree.attr(x, a) {
-                    Some(val) => val
-                        .values()
-                        .iter()
-                        .map(|s| store.interner.intern(s))
-                        .collect(),
-                    None => Vec::new(),
-                };
-                store
-                    .sets
-                    .get_mut(&(tau.clone(), a.clone()))
-                    .expect("plan column built at construction")
-                    .set(xi, members);
-            }
+        for (a, col) in &tc.sets {
+            let mut members = Vec::new();
+            extract_set(tree, x, a, &mut store.interner, &mut members);
+            store.sets[plan.set_slot(*col)].set(xi, members);
         }
     }
 
     /// Retracts one removed vertex: snapshots and drops its store cells,
     /// announces `NodeRemoved`, clears its structural entry.
     fn remove_node(&mut self, x: NodeId, acc: &mut DiffAcc) {
-        let v = self.v;
+        let plan = &self.v.plan;
         let tau = self.tree.label(x).clone();
         let xi = x.index() as u32;
         let mut singles: Vec<(Field, Option<Sym>)> = Vec::new();
-        if let Some(fields) = v.plan.singles.get(&tau) {
-            for f in fields {
-                let col = self
-                    .store
-                    .singles
-                    .get_mut(&(tau.clone(), f.clone()))
-                    .expect("plan column built at construction");
-                singles.push((f.clone(), col.remove(xi)));
+        if let Some(tc) = plan.tau(&tau) {
+            for (f, col) in &tc.singles {
+                singles.push((f.clone(), self.store.singles[*col as usize].remove(xi)));
             }
-        }
-        if let Some(attrs) = v.plan.sets.get(&tau) {
-            for a in attrs {
-                self.store
-                    .sets
-                    .get_mut(&(tau.clone(), a.clone()))
-                    .expect("plan column built at construction")
-                    .remove(xi);
+            for (_, col) in &tc.sets {
+                self.store.sets[plan.set_slot(*col)].remove(xi);
             }
         }
         self.dispatch(

@@ -4,14 +4,18 @@
 //! from the tree for every constraint. On realistic schemas many
 //! constraints share element types and fields (a key and three foreign keys
 //! all touching `person.@oid`), so the [`Validator`] instead compiles Σ
-//! once into a [`Plan`]: the set of `(element type, field)` columns any
-//! constraint will read. Validating a document then proceeds in two stages:
+//! once into a [`Plan`]: the layout of the `(element type, field)` columns
+//! any constraint will read, with dense column ids that the tree engine,
+//! the streaming fill and the live validator all share. Validating a
+//! document then proceeds in two stages:
 //!
-//! 1. **Extraction** — one pass over each needed extent builds a columnar
-//!    [`DocIndex`]: per `(τ, field)` a `Vec<Option<Sym>>` aligned with
-//!    `ext(τ)`, with every value interned to a `u32` [`Sym`]. Each field is
-//!    extracted once, no matter how many constraints read it, and all
-//!    subsequent equality/hash/set operations are integer operations.
+//! 1. **Extraction** — [`extract_columns`], the one walk that reads planned
+//!    columns from a tree (the live validator's bulk init runs it too),
+//!    builds a columnar [`DocIndex`]: per `(τ, field)` a `Vec<Option<Sym>>`
+//!    aligned with `ext(τ)`, with every value interned to a `u32` [`Sym`].
+//!    Each field is extracted once, no matter how many constraints read
+//!    it, and all subsequent equality/hash/set operations are integer
+//!    operations.
 //! 2. **Checking** — every constraint is checked against the shared
 //!    columns. With `threads > 1` the checks fan out across constraints,
 //!    and large extents additionally split into chunks whose violation
@@ -25,7 +29,7 @@
 //! [`Validator`]: crate::Validator
 
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use xic_constraints::{Constraint, DtdC, DtdStructure, Field};
 use xic_model::{DataTree, ExtIndex, FastHashMap, FastHashSet, Interner, Name, NodeId, Sym};
@@ -173,35 +177,77 @@ impl<'c> CName<'c> {
 }
 
 /// The columns a constraint set will read, compiled once per `DTD^C`.
-#[derive(Clone, Debug, Default)]
+///
+/// Every planned column has a dense id: single-valued columns first,
+/// ascending by `(τ, field)`, then set-valued columns ascending by
+/// `(τ, attribute)`. The tree engine, the streaming fill and the live
+/// store all index their columns by these ids, and snapshots list columns
+/// in this order. Each planned τ also gets a [`TauCols`] recipe naming its
+/// fields with their ids, so extraction never touches the key lists.
+#[derive(Clone, Debug)]
 pub(crate) struct Plan {
-    /// Per element type: single-valued fields (attributes or unique
-    /// sub-elements) some constraint reads.
-    pub(crate) singles: BTreeMap<Name, BTreeSet<Field>>,
-    /// Per element type: set-valued attributes some constraint reads.
-    pub(crate) sets: BTreeMap<Name, BTreeSet<Name>>,
     /// Whether any `L_id` ID constraint needs the document-wide ID table.
     pub(crate) needs_ids: bool,
+    /// Single-valued column id ↦ its `(τ, field)` key.
+    pub(crate) single_keys: Vec<(Name, Field)>,
+    /// Set-valued column [`Plan::set_slot`] ↦ its `(τ, attribute)` key.
+    pub(crate) set_keys: Vec<(Name, Name)>,
+    /// One recipe per planned τ, ascending by τ.
+    taus: Vec<TauCols>,
+}
+
+/// The planned columns of one element type τ, with their dense ids.
+#[derive(Clone, Debug)]
+pub(crate) struct TauCols {
+    pub(crate) tau: Name,
+    /// Single-valued fields in ascending order — attributes, then unique
+    /// sub-elements (§3.4) — each with its column id.
+    pub(crate) singles: Vec<(Field, u32)>,
+    /// How many of `singles` are attributes.
+    n_attrs: usize,
+    /// Set-valued attributes in ascending order, each with its column id.
+    pub(crate) sets: Vec<(Name, u32)>,
+}
+
+impl TauCols {
+    /// The single-valued attribute fields.
+    pub(crate) fn attr_singles(&self) -> &[(Field, u32)] {
+        &self.singles[..self.n_attrs]
+    }
+
+    /// The unique sub-element fields.
+    pub(crate) fn sub_singles(&self) -> &[(Field, u32)] {
+        &self.singles[self.n_attrs..]
+    }
+}
+
+/// `(τ, field)` keys for each of `fields`.
+fn keyed<'a>(tau: &'a Name, fields: &'a [Field]) -> impl Iterator<Item = (Name, Field)> + 'a {
+    fields.iter().map(move |f| (tau.clone(), f.clone()))
 }
 
 impl Plan {
-    /// Compiles the column set for `dtdc`'s Σ.
+    /// Compiles the column layout for `dtdc`'s Σ.
     pub(crate) fn build(dtdc: &DtdC) -> Self {
         let s = dtdc.structure();
-        let mut plan = Plan::default();
+        let id_col = |tau: &Name| {
+            s.id_attr(tau)
+                .map(|a| (tau.clone(), Field::Attr(a.clone())))
+        };
+        let mut singles: BTreeSet<(Name, Field)> = BTreeSet::new();
+        let mut sets: BTreeSet<(Name, Name)> = BTreeSet::new();
+        let mut needs_ids = false;
         for c in dtdc.constraints() {
             match c {
-                Constraint::Key { tau, fields } => {
-                    plan.add_singles(tau, fields);
-                }
+                Constraint::Key { tau, fields } => singles.extend(keyed(tau, fields)),
                 Constraint::ForeignKey {
                     tau,
                     fields,
                     target,
                     target_fields,
                 } => {
-                    plan.add_singles(tau, fields);
-                    plan.add_singles(target, target_fields);
+                    singles.extend(keyed(tau, fields));
+                    singles.extend(keyed(target, target_fields));
                 }
                 Constraint::SetForeignKey {
                     tau,
@@ -209,8 +255,8 @@ impl Plan {
                     target,
                     target_field,
                 } => {
-                    plan.add_set(tau, attr);
-                    plan.add_single(target, target_field.clone());
+                    sets.insert((tau.clone(), attr.clone()));
+                    singles.insert((target.clone(), target_field.clone()));
                 }
                 Constraint::InverseU {
                     tau,
@@ -220,22 +266,22 @@ impl Plan {
                     target_key,
                     target_attr,
                 } => {
-                    plan.add_single(tau, key.clone());
-                    plan.add_set(tau, attr);
-                    plan.add_single(target, target_key.clone());
-                    plan.add_set(target, target_attr);
+                    singles.insert((tau.clone(), key.clone()));
+                    sets.insert((tau.clone(), attr.clone()));
+                    singles.insert((target.clone(), target_key.clone()));
+                    sets.insert((target.clone(), target_attr.clone()));
                 }
                 Constraint::Id { tau } => {
-                    plan.needs_ids = true;
-                    plan.add_id_column(s, tau);
+                    needs_ids = true;
+                    singles.extend(id_col(tau));
                 }
                 Constraint::FkToId { tau, attr, target } => {
-                    plan.add_single(tau, Field::Attr(attr.clone()));
-                    plan.add_id_column(s, target);
+                    singles.insert((tau.clone(), Field::Attr(attr.clone())));
+                    singles.extend(id_col(target));
                 }
                 Constraint::SetFkToId { tau, attr, target } => {
-                    plan.add_set(tau, attr);
-                    plan.add_id_column(s, target);
+                    sets.insert((tau.clone(), attr.clone()));
+                    singles.extend(id_col(target));
                 }
                 Constraint::InverseId {
                     tau,
@@ -243,97 +289,118 @@ impl Plan {
                     target,
                     target_attr,
                 } => {
-                    plan.add_set(tau, attr);
-                    plan.add_set(target, target_attr);
-                    plan.add_id_column(s, tau);
-                    plan.add_id_column(s, target);
+                    sets.insert((tau.clone(), attr.clone()));
+                    sets.insert((target.clone(), target_attr.clone()));
+                    singles.extend(id_col(tau));
+                    singles.extend(id_col(target));
                 }
             }
         }
-        if plan.needs_ids {
+        if needs_ids {
             // The document-wide ID table spans every type with an ID
             // attribute, not just the types named in Σ.
-            for tau in s.element_types() {
-                plan.add_id_column(s, tau);
-            }
+            singles.extend(s.element_types().filter_map(id_col));
         }
-        plan
-    }
-
-    fn add_single(&mut self, tau: &Name, field: Field) {
-        self.singles.entry(tau.clone()).or_default().insert(field);
-    }
-
-    fn add_singles(&mut self, tau: &Name, fields: &[Field]) {
-        for f in fields {
-            self.add_single(tau, f.clone());
+        let single_keys: Vec<(Name, Field)> = singles.into_iter().collect();
+        let set_keys: Vec<(Name, Name)> = sets.into_iter().collect();
+        // Column ids ascend with the keys, singles before sets.
+        let mut by_tau: BTreeMap<Name, TauCols> = BTreeMap::new();
+        let empty = |tau: &Name| TauCols {
+            tau: tau.clone(),
+            singles: Vec::new(),
+            n_attrs: 0,
+            sets: Vec::new(),
+        };
+        for (id, (tau, field)) in (0u32..).zip(&single_keys) {
+            let tc = by_tau.entry(tau.clone()).or_insert_with(|| empty(tau));
+            tc.n_attrs += usize::from(matches!(field, Field::Attr(_)));
+            tc.singles.push((field.clone(), id));
+        }
+        let n_singles = u32::try_from(single_keys.len()).expect("column count fits u32");
+        for (id, (tau, attr)) in (n_singles..).zip(&set_keys) {
+            let tc = by_tau.entry(tau.clone()).or_insert_with(|| empty(tau));
+            tc.sets.push((attr.clone(), id));
+        }
+        Plan {
+            needs_ids,
+            single_keys,
+            set_keys,
+            taus: by_tau.into_values().collect(),
         }
     }
 
-    fn add_set(&mut self, tau: &Name, attr: &Name) {
-        self.sets
-            .entry(tau.clone())
-            .or_default()
-            .insert(attr.clone());
+    /// τ's recipe, if Σ reads any column of τ.
+    pub(crate) fn tau(&self, tau: &str) -> Option<&TauCols> {
+        let i = self
+            .taus
+            .binary_search_by(|tc| tc.tau.as_str().cmp(tau))
+            .ok()?;
+        Some(&self.taus[i])
     }
 
-    fn add_id_column(&mut self, s: &DtdStructure, tau: &Name) {
-        if let Some(id_attr) = s.id_attr(tau) {
-            self.add_single(tau, Field::Attr(id_attr.clone()));
-        }
+    /// The id of column `(τ, field)`, if planned.
+    pub(crate) fn single_id(&self, tau: &str, field: &Field) -> Option<u32> {
+        let tc = self.tau(tau)?;
+        tc.singles
+            .iter()
+            .find(|(f, _)| f == field)
+            .map(|&(_, id)| id)
+    }
+
+    /// The id of set column `(τ, attr)`, if planned.
+    pub(crate) fn set_id(&self, tau: &str, attr: &str) -> Option<u32> {
+        let tc = self.tau(tau)?;
+        tc.sets
+            .iter()
+            .find(|(a, _)| a.as_str() == attr)
+            .map(|&(_, id)| id)
+    }
+
+    /// Where set column `id` sits among the set columns alone.
+    pub(crate) fn set_slot(&self, id: u32) -> usize {
+        id as usize - self.single_keys.len()
     }
 
     /// Number of `(τ, field)` columns the plan extracts (for diagnostics).
     pub(crate) fn column_count(&self) -> usize {
-        self.singles.values().map(BTreeSet::len).sum::<usize>()
-            + self.sets.values().map(BTreeSet::len).sum::<usize>()
+        self.single_keys.len() + self.set_keys.len()
     }
 }
 
 /// The per-document columnar index: one interned column per planned
-/// `(τ, field)`, aligned with `ext(τ)`, plus the document-wide ID table.
-pub(crate) struct DocIndex {
+/// `(τ, field)`, aligned with `ext(τ)` and indexed by the plan's column
+/// ids, plus the document-wide ID table.
+pub(crate) struct DocIndex<'p> {
+    plan: &'p Plan,
     interner: Interner,
-    /// `(τ, field) ↦` column of `ext(τ)`-aligned single values.
-    singles: HashMap<(Name, Field), Vec<Option<Sym>>>,
-    /// `(τ, attr) ↦` flattened column of `ext(τ)`-aligned set values, each
-    /// row in `AttrValue`'s sorted-string order (so iteration matches
+    /// Single-valued column id ↦ `ext(τ)`-aligned values.
+    singles: Vec<Vec<Option<Sym>>>,
+    /// Set-valued column slot ↦ `ext(τ)`-aligned rows, each in
+    /// `AttrValue`'s sorted-string order (so iteration matches
     /// `set_value`).
-    sets: HashMap<(Name, Name), SetCol>,
+    sets: Vec<SetCol>,
     /// ID value ↦ carriers, in `element_types()` × document order
     /// (matching the sequential `build_global_ids`).
     global_ids: FastHashMap<Sym, Vec<NodeId>>,
 }
 
-impl DocIndex {
-    /// One-pass extraction of every planned column from `tree`.
-    pub(crate) fn build(tree: &DataTree, idx: &ExtIndex, s: &DtdStructure, plan: &Plan) -> Self {
+impl<'p> DocIndex<'p> {
+    /// Extracts every planned column from `tree` in one [`extract_columns`]
+    /// walk.
+    pub(crate) fn build(tree: &DataTree, idx: &ExtIndex, s: &DtdStructure, plan: &'p Plan) -> Self {
         let mut interner = Interner::new();
-        let mut singles = HashMap::new();
-        for (tau, fields) in &plan.singles {
-            let ext = idx.ext(tau);
-            for field in fields {
-                let col: Vec<Option<Sym>> = ext
-                    .iter()
-                    .map(|&x| extract_single(tree, x, field, &mut interner))
-                    .collect();
-                singles.insert((tau.clone(), field.clone()), col);
+        let mut singles: Vec<Vec<Option<Sym>>> = plan
+            .single_keys
+            .iter()
+            .map(|(tau, _)| Vec::with_capacity(idx.ext(tau).len()))
+            .collect();
+        let mut sets = vec![SetCol::default(); plan.set_keys.len()];
+        extract_columns(tree, idx, plan, &mut interner, |col, _, cell| match cell {
+            Cell::Single(val) => singles[col as usize].push(val),
+            Cell::Set(members) => {
+                sets[plan.set_slot(col)].push_row(members.iter().copied());
             }
-        }
-        let mut sets = HashMap::new();
-        for (tau, attrs) in &plan.sets {
-            let ext = idx.ext(tau);
-            for attr in attrs {
-                let mut col = SetCol::default();
-                for &x in ext {
-                    match tree.attr(x, attr) {
-                        Some(v) => col.push_row(v.values().iter().map(|s| interner.intern(s))),
-                        None => col.push_row([]),
-                    }
-                }
-                sets.insert((tau.clone(), attr.clone()), col);
-            }
-        }
+        });
         DocIndex::from_parts(interner, singles, sets, idx, s, plan)
     }
 
@@ -345,11 +412,11 @@ impl DocIndex {
     /// interning yields byte-identical reports.
     pub(crate) fn from_parts(
         interner: Interner,
-        singles: HashMap<(Name, Field), Vec<Option<Sym>>>,
-        sets: HashMap<(Name, Name), SetCol>,
+        singles: Vec<Vec<Option<Sym>>>,
+        sets: Vec<SetCol>,
         idx: &ExtIndex,
         s: &DtdStructure,
-        plan: &Plan,
+        plan: &'p Plan,
     ) -> Self {
         let mut global_ids: FastHashMap<Sym, Vec<NodeId>> = FastHashMap::default();
         if plan.needs_ids {
@@ -357,12 +424,11 @@ impl DocIndex {
                 let Some(id_attr) = s.id_attr(tau) else {
                     continue;
                 };
-                let key = (tau.clone(), Field::Attr(id_attr.clone()));
-                let Some(col) = singles.get(&key) else {
+                let Some(col) = plan.single_id(tau, &Field::Attr(id_attr.clone())) else {
                     continue;
                 };
                 let ext = idx.ext(tau);
-                for (pos, sym) in col.iter().enumerate() {
+                for (pos, sym) in singles[col as usize].iter().enumerate() {
                     if let Some(sym) = sym {
                         global_ids.entry(*sym).or_default().push(ext[pos]);
                     }
@@ -370,6 +436,7 @@ impl DocIndex {
             }
         }
         DocIndex {
+            plan,
             interner,
             singles,
             sets,
@@ -378,15 +445,19 @@ impl DocIndex {
     }
 
     fn single(&self, tau: &Name, field: &Field) -> &[Option<Sym>] {
-        self.singles
-            .get(&(tau.clone(), field.clone()))
-            .expect("plan covers every single field a constraint reads")
+        let col = self
+            .plan
+            .single_id(tau, field)
+            .expect("plan covers every single field a constraint reads");
+        &self.singles[col as usize]
     }
 
     fn set(&self, tau: &Name, attr: &Name) -> &SetCol {
-        self.sets
-            .get(&(tau.clone(), attr.clone()))
-            .expect("plan covers every set attribute a constraint reads")
+        let col = self
+            .plan
+            .set_id(tau, attr)
+            .expect("plan covers every set attribute a constraint reads");
+        &self.sets[self.plan.set_slot(col)]
     }
 
     fn resolve(&self, sym: Sym) -> &str {
@@ -422,6 +493,50 @@ impl DocIndex {
     }
 }
 
+/// The value of one column cell, as [`extract_columns`] hands it to its
+/// sink with the column id and the vertex.
+pub(crate) enum Cell<'a> {
+    Single(Option<Sym>),
+    /// The sink may take the members; the walk clears the buffer before
+    /// the next row either way.
+    Set(&'a mut Vec<Sym>),
+}
+
+/// The one walk that extracts a tree's planned columns, handing every
+/// cell to `sink` in extent order per column.
+///
+/// Single-valued fields come first: one walk per planned τ extracts all of
+/// a vertex's fields together, so its node record and attribute list stay
+/// hot across fields. Set columns follow, one column at a time. Values
+/// are interned through `interner` in exactly this order, which snapshots
+/// of a freshly built live validator record.
+pub(crate) fn extract_columns(
+    tree: &DataTree,
+    idx: &ExtIndex,
+    plan: &Plan,
+    interner: &mut Interner,
+    mut sink: impl FnMut(u32, NodeId, Cell<'_>),
+) {
+    for tc in &plan.taus {
+        for &x in idx.ext(&tc.tau) {
+            for (field, col) in &tc.singles {
+                let val = extract_single(tree, x, field, interner);
+                sink(*col, x, Cell::Single(val));
+            }
+        }
+    }
+    let mut members = Vec::new();
+    for tc in &plan.taus {
+        for (attr, col) in &tc.sets {
+            for &x in idx.ext(&tc.tau) {
+                members.clear();
+                extract_set(tree, x, attr, interner, &mut members);
+                sink(*col, x, Cell::Set(&mut members));
+            }
+        }
+    }
+}
+
 /// Single-valued field extraction; must agree with
 /// [`crate::constraints::field_value`].
 pub(crate) fn extract_single(
@@ -436,6 +551,24 @@ pub(crate) fn extract_single(
             let child = unique_sub(tree, x, e)?;
             Some(interner.intern(&tree.node(child).text()))
         }
+    }
+}
+
+/// Set-valued field extraction: appends the members of attribute `l` of
+/// `x` to `out`, interned in `AttrValue`'s sorted order (nothing for an
+/// absent attribute).
+pub(crate) fn extract_set(
+    tree: &DataTree,
+    x: NodeId,
+    l: &Name,
+    interner: &mut Interner,
+    out: &mut Vec<Sym>,
+) {
+    if let Some(v) = tree.attr(x, l) {
+        // Exact, so a row taken into the live store holds no slack: most
+        // sets have fewer members than a growing `Vec`'s first capacity.
+        out.reserve_exact(v.values().len());
+        out.extend(v.values().iter().map(|s| interner.intern(s)));
     }
 }
 

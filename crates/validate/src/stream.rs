@@ -11,11 +11,12 @@
 //!   child list;
 //! * attribute clauses run when an element's start tag completes ("seal"),
 //!   over the same name-sorted attribute view the tree would have built;
-//! * the PR-1 columnar [`DocIndex`] is filled on the fly: every planned
-//!   `(τ, field)` column receives its `ext(τ)`-aligned entry the moment
-//!   the carrying element seals (attributes) or closes (unique
-//!   sub-elements), and constraint checking then proceeds on the exact
-//!   engine the tree path uses ([`check_planned`]).
+//! * the columnar [`DocIndex`] is filled on the fly, following the column
+//!   recipe the [`Plan`] compiles once per validator: every planned
+//!   `(τ, field)` column receives its `ext(τ)`-aligned entry, under the
+//!   plan's column id, the moment the carrying element seals (attributes)
+//!   or closes (unique sub-elements), and constraint checking then
+//!   proceeds on the exact engine the tree path uses ([`check_planned`]).
 //!
 //! ## The hot path is allocation- and hash-free (§4.12)
 //!
@@ -46,30 +47,18 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use xic_constraints::{AttrType, DtdC, DtdStructure, Field};
+use xic_constraints::{AttrType, DtdC, DtdStructure};
 use xic_model::{ExtIndex, FastHashMap, Interner, Name, NodeId, Sym};
 use xic_obs::Obs;
 use xic_regex::Symbol;
 use xic_xml::{parse_events, Event, EventParser, XmlError};
 
-use crate::plan::{check_planned, DocIndex, Plan, SetCol};
+use crate::plan::{check_planned, DocIndex, Plan, SetCol, TauCols};
 use crate::report::{Report, Violation};
 use crate::structure::{CompiledMatcher, MatcherRun, Validator};
 
 #[cfg(doc)]
 use xic_model::{AttrValue, DataTree};
-
-/// Per element type: where each planned field of `τ` lives in the flat
-/// column arrays, split by how the value is obtained while streaming.
-#[derive(Default)]
-struct TauPlan {
-    /// Single-valued attribute fields: `(attribute, single-column id)`.
-    attr_singles: Vec<(Name, usize)>,
-    /// Unique sub-element fields (§3.4): `(child label, single-column id)`.
-    sub_singles: Vec<(Name, usize)>,
-    /// Set-valued attribute fields: `(attribute, set-column id)`.
-    sets: Vec<(Name, usize)>,
-}
 
 /// Everything the event loop needs about one element-name spelling,
 /// resolved once when the spelling is first seen and addressed by dense id
@@ -82,8 +71,8 @@ struct ElemInfo<'v> {
     /// Content-model matcher; `None` for element types the `DTD^C` does
     /// not declare (which skip structural checks, as in the tree path).
     matcher: Option<&'v CompiledMatcher>,
-    /// Index into [`StreamChecker::tau_plans`], when Σ reads this type.
-    plan: Option<u32>,
+    /// The plan's column recipe for this type, when Σ reads it.
+    plan: Option<&'v TauCols>,
     /// `Att(τ)` of the `DTD^C` in name order — drives the attribute
     /// clauses of Definition 2.4 (undeclared / not-singleton / missing).
     attr_decls: Vec<(Name, AttrType)>,
@@ -137,7 +126,7 @@ struct Frame<'s> {
     /// Attribute violations, held back so they follow a `ContentModel`
     /// violation of the same node (the tree path's per-node order).
     attr_viols: Vec<Violation>,
-    /// Per [`TauPlan::sub_singles`] entry: how many children with that
+    /// Per [`TauCols::sub_singles`] entry: how many children with that
     /// label closed, and the first one's interned text (the field value
     /// iff the count ends at exactly one — §3.4's *unique* sub-element).
     subs: Vec<(u32, Option<Sym>)>,
@@ -179,11 +168,9 @@ pub(crate) struct StreamChecker<'v, 's> {
     /// [`ExtIndex`] once, at finish.
     exts: Vec<Vec<NodeId>>,
     interner: Interner,
-    tau_plans: Vec<TauPlan>,
-    tau_lookup: HashMap<Name, usize>,
-    single_keys: Vec<(Name, Field)>,
+    /// The plan's columns, indexed by its column ids (set columns by
+    /// [`Plan::set_slot`]), each `ext(τ)`-aligned.
     single_cols: Vec<Vec<Option<Sym>>>,
-    set_keys: Vec<(Name, Name)>,
     set_cols: Vec<SetCol>,
     /// The validator's observability handle (off by default). Per-event
     /// totals below are plain fields — never collector calls on the hot
@@ -256,37 +243,6 @@ fn render_word(elems: &[ElemInfo<'_>], word: &[u32]) -> String {
 
 impl<'v, 's> StreamChecker<'v, 's> {
     pub(crate) fn new(v: &'v Validator<'_>, doc_dtd: Option<DtdStructure>) -> Self {
-        // Flatten the plan's per-type field sets into dense columns with a
-        // per-τ recipe, so the hot path never touches the BTree maps.
-        let mut tau_plans: Vec<TauPlan> = Vec::new();
-        let mut tau_lookup: HashMap<Name, usize> = HashMap::new();
-        let mut plan_of = |tau: &Name, tau_plans: &mut Vec<TauPlan>| -> usize {
-            *tau_lookup.entry(tau.clone()).or_insert_with(|| {
-                tau_plans.push(TauPlan::default());
-                tau_plans.len() - 1
-            })
-        };
-        let mut single_keys = Vec::new();
-        for (tau, fields) in &v.plan.singles {
-            let pi = plan_of(tau, &mut tau_plans);
-            for field in fields {
-                let col = single_keys.len();
-                single_keys.push((tau.clone(), field.clone()));
-                match field {
-                    Field::Attr(l) => tau_plans[pi].attr_singles.push((l.clone(), col)),
-                    Field::Sub(e) => tau_plans[pi].sub_singles.push((e.clone(), col)),
-                }
-            }
-        }
-        let mut set_keys = Vec::new();
-        for (tau, attrs) in &v.plan.sets {
-            let pi = plan_of(tau, &mut tau_plans);
-            for attr in attrs {
-                let col = set_keys.len();
-                set_keys.push((tau.clone(), attr.clone()));
-                tau_plans[pi].sets.push((attr.clone(), col));
-            }
-        }
         StreamChecker {
             dtdc: v.dtdc,
             s: v.dtdc.structure(),
@@ -304,12 +260,8 @@ impl<'v, 's> StreamChecker<'v, 's> {
             attr_lookup: FastHashMap::default(),
             exts: Vec::new(),
             interner: Interner::new(),
-            single_cols: vec![Vec::new(); single_keys.len()],
-            set_cols: vec![SetCol::default(); set_keys.len()],
-            tau_plans,
-            tau_lookup,
-            single_keys,
-            set_keys,
+            single_cols: vec![Vec::new(); v.plan.single_keys.len()],
+            set_cols: vec![SetCol::default(); v.plan.set_keys.len()],
             obs: v.obs.clone(),
             max_depth: 0,
             attr_count: 0,
@@ -337,7 +289,7 @@ impl<'v, 's> StreamChecker<'v, 's> {
         let info = ElemInfo {
             sym: Symbol::Elem(label.clone()),
             matcher: self.matchers.get(name),
-            plan: self.tau_lookup.get(name).map(|&i| i as u32),
+            plan: self.plan.tau(name),
             attr_decls: self
                 .s
                 .attributes(name)
@@ -391,11 +343,11 @@ impl<'v, 's> StreamChecker<'v, 's> {
                     m.step(run, &info.sym);
                     parent.word.push(iid);
                 }
-                if let Some(pi) = self.elems[parent.info as usize].plan {
-                    sub_slot = self.tau_plans[pi as usize]
-                        .sub_singles
+                if let Some(tc) = self.elems[parent.info as usize].plan {
+                    sub_slot = tc
+                        .sub_singles()
                         .iter()
-                        .position(|(e, _)| e == &info.label);
+                        .position(|(e, _)| e.name() == &info.label);
                 }
             }
             None => {
@@ -423,9 +375,7 @@ impl<'v, 's> StreamChecker<'v, 's> {
                 None
             }
         };
-        let n_subs = info
-            .plan
-            .map_or(0, |pi| self.tau_plans[pi as usize].sub_singles.len());
+        let n_subs = info.plan.map_or(0, |tc| tc.sub_singles().len());
         let ext = &mut self.exts[iid as usize];
         let ext_pos = u32::try_from(ext.len()).expect("extent fits u32");
         ext.push(node_id);
@@ -544,16 +494,16 @@ impl<'v, 's> StreamChecker<'v, 's> {
         }
         // Column fill — by label, declared or not, because `ext(τ)` (and
         // hence the tree path's columns) includes undeclared nodes too.
-        if let Some(pi) = info.plan {
-            let tp = &self.tau_plans[pi as usize];
-            for (l, col) in &tp.attr_singles {
-                let sym = find_pending(&top.pending_attrs, names, l)
+        if let Some(tc) = info.plan {
+            for (l, col) in tc.attr_singles() {
+                let sym = find_pending(&top.pending_attrs, names, l.name())
                     .and_then(|v| pval_single(v, &mut self.interner));
-                debug_assert_eq!(self.single_cols[*col].len(), top.ext_pos as usize);
-                self.single_cols[*col].push(sym);
+                let scol = &mut self.single_cols[*col as usize];
+                debug_assert_eq!(scol.len(), top.ext_pos as usize);
+                scol.push(sym);
             }
-            for (l, col) in &tp.sets {
-                let scol = &mut self.set_cols[*col];
+            for (l, col) in &tc.sets {
+                let scol = &mut self.set_cols[self.plan.set_slot(*col)];
                 debug_assert_eq!(scol.len(), top.ext_pos as usize);
                 match find_pending(&top.pending_attrs, names, l) {
                     Some(PVal::Single(raw)) => {
@@ -575,9 +525,10 @@ impl<'v, 's> StreamChecker<'v, 's> {
             // Sub-element fields get a placeholder now (keeping the column
             // ext-aligned) and their value at close, when the children —
             // and hence uniqueness — are known.
-            for (_, col) in &tp.sub_singles {
-                debug_assert_eq!(self.single_cols[*col].len(), top.ext_pos as usize);
-                self.single_cols[*col].push(None);
+            for (_, col) in tc.sub_singles() {
+                let scol = &mut self.single_cols[*col as usize];
+                debug_assert_eq!(scol.len(), top.ext_pos as usize);
+                scol.push(None);
             }
         }
     }
@@ -612,11 +563,11 @@ impl<'v, 's> StreamChecker<'v, 's> {
             self.tagged.push((frame.node, v));
         }
         // Patch this element's unique-sub-element column entries.
-        if let Some(pi) = info.plan {
-            for (i, (_, col)) in self.tau_plans[pi as usize].sub_singles.iter().enumerate() {
+        if let Some(tc) = info.plan {
+            for (i, (_, col)) in tc.sub_singles().iter().enumerate() {
                 let (count, sym) = frame.subs[i];
                 if count == 1 {
-                    self.single_cols[*col][frame.ext_pos as usize] = sym;
+                    self.single_cols[*col as usize][frame.ext_pos as usize] = sym;
                 }
             }
         }
@@ -660,11 +611,14 @@ impl<'v, 's> StreamChecker<'v, 's> {
             for (info, ids) in self.elems.iter().zip(self.exts) {
                 ext.insert_extent(info.label.clone(), ids);
             }
-            let singles: HashMap<(Name, Field), Vec<Option<Sym>>> =
-                self.single_keys.into_iter().zip(self.single_cols).collect();
-            let sets: HashMap<(Name, Name), SetCol> =
-                self.set_keys.into_iter().zip(self.set_cols).collect();
-            DocIndex::from_parts(self.interner, singles, sets, &ext, self.s, self.plan)
+            DocIndex::from_parts(
+                self.interner,
+                self.single_cols,
+                self.set_cols,
+                &ext,
+                self.s,
+                self.plan,
+            )
         };
         check_planned(
             &ext,
